@@ -74,6 +74,11 @@ class Checks:
             self.failed += 1
             return
         ptas = item.result
+        # A cache or coalescing mix-up would hand over another
+        # instance's feasible schedule; the answer must be for this one.
+        if problem(ptas.schedule.instance) != problem(item.request.instance):
+            self.fail(f"{item.name}: served a schedule for another instance")
+            return
         try:
             verify_schedule(ptas.schedule)
         except InvalidScheduleError as exc:
@@ -103,6 +108,14 @@ class Checks:
         if makespan > (1.0 + eps) * opt + 1e-9:
             self.fail(f"{label}: makespan {makespan} > (1+{eps})*OPT={opt}")
         return True
+
+
+def problem(instance: Instance) -> tuple:
+    """The fields that define an instance; its name is only a label."""
+    return (
+        instance.times, instance.machines, instance.model, instance.type_speeds,
+        instance.machines_per_type, instance.max_jobs_per_machine,
+    )
 
 
 def over_lower_bound(item: BatchRequestResult) -> float:

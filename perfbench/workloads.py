@@ -16,8 +16,11 @@ import harness
 import layers
 from harness import Checks, median, percentile
 
-#: fresh-interpreter launches per set-up measurement (median reported).
-SETUP_REPEATS = 7
+#: fresh-interpreter launches per set-up measurement, fastest reported:
+#: on the shared 2-core host the median of 15 launches moved 0.32-0.42 s
+#: within a minute as neighbours' load came and went, the fastest
+#: 0.30-0.33 s.
+SETUP_REPEATS = 15
 #: fresh CLI runs per cli_schedule_s measurement (median reported).
 CLI_REPEATS = 7
 #: nominal seconds of one batch round on a 2-core host; a run measures
@@ -45,7 +48,7 @@ def run(workload: str, seed: int, seconds: float, trace: int):
 
 def _setup(front_end: str, metrics: dict, samples: dict) -> None:
     values = harness.setup_seconds(front_end, SETUP_REPEATS)
-    metrics["setup_s"] = median(values)
+    metrics["setup_s"] = min(values)
     samples["setup_s"] = len(values)
 
 
@@ -316,13 +319,18 @@ def serve_e2e(seed: int, seconds: float):
             f"(late p50 {percentile(stats['late'], 50):.1f} ms)"
         )
     done = [r.done for r in window if r.index in answers]
-    span = max(done) - min(r.due for r in window)
-    metrics["requests_per_s"] = len(done) / span
+    # Answers over elapsed time is the offered rate until the service
+    # saturates, so it would not move when the pipeline slows.  Answers
+    # per second of worker busy time (pipeline runs, coalesced answers
+    # aside) is what the workers can serve, and it does.
+    runs = [answers[r.index].wall_s for r in window if not r.coalesced and r.index in answers]
+    metrics["requests_per_s"] = len(runs) * harness.THREADS / sum(runs)
+    samples["requests_per_s"] = len(runs)
     metrics["refined_p50_ms"] = _windowed(window, answers, 50)
     metrics["refined_p90_ms"] = _windowed(window, answers, 90)
     ratios = [harness.over_lower_bound(a) for a in answers.values()]
     metrics["makespan_over_lb"] = statistics.fmean(ratios)
-    for name in ("requests_per_s", "refined_p50_ms", "refined_p90_ms"):
+    for name in ("refined_p50_ms", "refined_p90_ms"):
         samples[name] = len(done)
     samples["makespan_over_lb"] = len(ratios)
     extra.update({
