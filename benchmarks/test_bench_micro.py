@@ -3,7 +3,7 @@
 Unlike the exhibit benches (which report *simulated* hardware time),
 these measure the reproduction's own throughput with pytest-benchmark:
 the vectorized DP fill, configuration enumeration, the blocked-layout
-permutation, the group-fill kernel, and the host-parallel wavefront.
+permutation, the group-fill kernel, and a full PTAS run.
 They guard against performance regressions in the library itself.
 """
 
@@ -22,7 +22,6 @@ from repro.dptable.layout import BlockedLayout
 from repro.dptable.partition import BlockPartition, compute_divisor
 from repro.dptable.table import TableGeometry
 from repro.engines.base import fill_by_groups
-from repro.parallel.wavefront import parallel_wavefront_dp
 
 PROBE = synthetic_probe((4, 4, 6, 6, 2, 3, 3, 2))  # 20736 cells
 
@@ -68,18 +67,6 @@ def test_micro_blocked_layout_permutation(benchmark):
 
     result = benchmark(reorganize_and_restore)
     assert np.array_equal(result, table)
-
-
-@pytest.mark.benchmark(group="micro")
-def test_micro_host_parallel_wavefront(benchmark, configs):
-    result = benchmark.pedantic(
-        parallel_wavefront_dp,
-        args=(PROBE.counts, PROBE.class_sizes, PROBE.target),
-        kwargs=dict(configs=configs, workers=4, min_parallel_level=512),
-        rounds=1,
-        iterations=1,
-    )
-    assert result.table.size == PROBE.table_size
 
 
 @pytest.mark.benchmark(group="micro")

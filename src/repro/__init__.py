@@ -14,7 +14,7 @@ Makespan"* (Li, Ghalami, Schwiebert, Grosu — IPDPS Workshops 2018):
   :mod:`repro.cpusim`) and the four execution engines mapped onto them
   (:mod:`repro.engines`);
 * real multi-process execution of the wavefront DP
-  (:mod:`repro.parallel`);
+  (:mod:`repro.parallel`, a library layer no request path uses);
 * a cross-probe solver cache (:mod:`repro.core.probe_cache`) and the
   observability layer that motivated it — per-phase timers, counters,
   per-probe trace events (:mod:`repro.observability`);

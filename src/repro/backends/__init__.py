@@ -24,13 +24,6 @@ hardware):
   table at all (``decision_only=True``; cannot produce schedules).
 * ``"reference"`` — :func:`~repro.core.dp_reference.dp_reference`,
   the slow, obviously-correct oracle.
-* ``"wavefront"`` — :class:`~repro.parallel.wavefront.WavefrontSolver`,
-  real host-parallel execution on shared-memory worker processes; any
-  ``wavefront-<workers>`` resolves.
-* ``"hostpar"`` — :class:`~repro.parallel.fabric.HostParallelSolver`,
-  exact fills on the persistent shared-memory fill fabric (worker pool
-  and shipped plans survive across probes); any ``hostpar-<p>``
-  resolves.
 * ``"fallback"`` — :class:`~repro.resilience.FallbackChain` over
   ``auto → sweep → vectorized``: steps down to the next member when one
   fails hard (OOM, backend bug); any ``fallback:<a>,<b>,...`` resolves
@@ -80,8 +73,6 @@ from repro.engines.gpu_partitioned import GpuPartitionedEngine
 from repro.engines.hybrid import HybridEngine
 from repro.engines.openmp_engine import OpenMPEngine
 from repro.engines.sequential import SequentialEngine
-from repro.parallel.fabric import HostParallelSolver
-from repro.parallel.wavefront import WavefrontSolver
 
 __all__ = [
     "BackendSpec",
@@ -167,11 +158,10 @@ def _register_defaults() -> None:
             concurrency="none",
             description=(
                 "cost-model kernel selection per probe "
-                "(decision/sweep/vectorized/hostpar)"
+                "(decision/sweep/vectorized)"
             ),
             aliases=("kernel-auto",),
             plan_aware=True,
-            fabric_aware=True,
             sparsify_aware=True,
         )
     )
@@ -213,8 +203,7 @@ def _register_defaults() -> None:
                 description=f"OpenMP baseline on {threads} simulated threads",
                 aliases=(f"openmp-{threads}",),
                 plan_aware=True,
-                fabric_aware=True,
-                sparsify_aware=True,
+                    sparsify_aware=True,
             )
         )
     register(
@@ -237,8 +226,7 @@ def _register_defaults() -> None:
                 concurrency="device-streams",
                 description=f"data-partitioned GPU engine, {dim} partitioned dims",
                 plan_aware=True,
-                fabric_aware=True,
-                sparsify_aware=True,
+                    sparsify_aware=True,
             )
         )
     register(
@@ -249,36 +237,9 @@ def _register_defaults() -> None:
             concurrency="host-threads",
             description="per-probe CPU/GPU dispatch by predicted cost",
             plan_aware=True,
-            fabric_aware=True,
             sparsify_aware=True,
         )
     )
-    register(
-        BackendSpec(
-            name="wavefront",
-            factory=WavefrontSolver,
-            simulated=False,
-            concurrency="host-processes",
-            description="real host-parallel wavefront DP on shared memory",
-            plan_aware=True,
-            fabric_aware=True,
-        )
-    )
-    register(
-        BackendSpec(
-            name="hostpar",
-            factory=HostParallelSolver,
-            simulated=False,
-            concurrency="host-processes",
-            description=(
-                "exact DP fills on the persistent shared-memory fill fabric"
-            ),
-            plan_aware=True,
-            fabric_aware=True,
-            sparsify_aware=True,
-        )
-    )
-
     def _fallback_factory(members):
         def factory(**kw):
             # Imported lazily: repro.resilience.fallback resolves its
@@ -325,7 +286,6 @@ def _register_defaults() -> None:
             concurrency="host-threads",
             description=f"OpenMP baseline on {int(m.group(1))} simulated threads",
             plan_aware=True,
-            fabric_aware=True,
             sparsify_aware=True,
         ),
     )
@@ -340,7 +300,6 @@ def _register_defaults() -> None:
             concurrency="device-streams",
             description=f"data-partitioned GPU engine, {int(m.group(1))} partitioned dims",
             plan_aware=True,
-            fabric_aware=True,
             sparsify_aware=True,
         ),
     )
@@ -355,40 +314,6 @@ def _register_defaults() -> None:
             concurrency="host-threads",
             description="per-probe CPU/GPU dispatch by predicted cost",
             plan_aware=True,
-            fabric_aware=True,
-            sparsify_aware=True,
-        ),
-    )
-    register_family(
-        r"wavefront-(\d+)",
-        lambda m: BackendSpec(
-            name=f"wavefront-{int(m.group(1))}",
-            factory=lambda workers=int(m.group(1)), **kw: WavefrontSolver(
-                workers=workers, **kw
-            ),
-            simulated=False,
-            concurrency="host-processes",
-            description=(
-                f"real host-parallel wavefront DP on {int(m.group(1))} processes"
-            ),
-            plan_aware=True,
-            fabric_aware=True,
-        ),
-    )
-    register_family(
-        r"hostpar-(\d+)",
-        lambda m: BackendSpec(
-            name=f"hostpar-{int(m.group(1))}",
-            factory=lambda workers=int(m.group(1)), **kw: HostParallelSolver(
-                workers=workers, **kw
-            ),
-            simulated=False,
-            concurrency="host-processes",
-            description=(
-                f"exact DP fills on the {int(m.group(1))}-worker fill fabric"
-            ),
-            plan_aware=True,
-            fabric_aware=True,
             sparsify_aware=True,
         ),
     )

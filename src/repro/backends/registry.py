@@ -37,7 +37,7 @@ from repro.core.ptas import DPSolver
 from repro.errors import BackendError
 
 #: concurrency capability values a BackendSpec may declare.
-CONCURRENCY_MODELS = ("none", "host-threads", "host-processes", "device-streams")
+CONCURRENCY_MODELS = ("none", "host-threads", "device-streams")
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,6 @@ class BackendSpec:
     #: :class:`~repro.errors.BackendError`; a direct extraction attempt
     #: fails loudly inside the result object itself.
     decision_only: bool = False
-    #: True when the factory accepts a ``fill_fabric=`` keyword — the
-    #: backend can route its real table fills through the shared-memory
-    #: fill fabric (:class:`~repro.parallel.fabric.BlockExecutor`).
-    #: The service pipeline and the CLI use this to inject the
-    #: ``--fill-workers`` pool; results stay bit-identical either way.
-    fabric_aware: bool = False
     #: True when the factory accepts a ``sparsify=`` keyword — the
     #: backend can fill over the dominance-pruned configuration set
     #: (:mod:`repro.core.sparsify`) with unchanged results.  The

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six commands:
+Five commands:
 
 * ``schedule`` — run the PTAS (and the classical baselines) on an
   instance given inline or generated at random;
@@ -15,11 +15,7 @@ Six commands:
 * ``engines`` — fill one DP probe on every simulated engine and print
   the simulated-time comparison (a miniature Fig. 3 row);
 * ``experiment`` — regenerate a paper exhibit at reduced scale and
-  print its report (the benchmarks run the full versions);
-* ``health`` — fill-fabric hygiene: sweep orphaned ``/dev/shm``
-  segments left by crashed runs, report the pinned start method, and
-  (``--self-test``) run a real supervised parallel fill and check it
-  against the single-process reference (``docs/RELIABILITY.md``).
+  print its report (the benchmarks run the full versions).
 
 Exit codes (``docs/RELIABILITY.md``): 0 success, 2 usage error
 (bad flags, unknown backend), 3 invalid instance, 4 backend failure,
@@ -98,19 +94,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
              "ProbeTimeoutError (retried as transient)",
     )
     parser.add_argument(
-        "--fill-workers", type=int, default=None, metavar="P",
-        help="run large DP fills process-parallel on a P-worker "
-             "shared-memory fill fabric (fabric-aware backends only); "
-             "admission estimates automatically cover the fabric's "
-             "segments and per-worker scratch",
-    )
-    parser.add_argument(
-        "--fill-min-cells", type=int, default=None, metavar="CELLS",
-        help="fabric dispatch threshold: waves smaller than CELLS run "
-             "inline in the parent (default 256).  The chaos CI smoke "
-             "sets 1 so every wave crosses the process boundary",
-    )
-    parser.add_argument(
         "--no-sparsify", action="store_true",
         help="disable configuration sparsification (dominance pruning) "
              "and probe-cache warm starts on sparsify-aware backends; "
@@ -162,7 +145,7 @@ def _modelled(inst: Instance, args: argparse.Namespace) -> Instance:
 
 
 def _resilience_from_args(args: argparse.Namespace):
-    """Build (policy, injector) from the shared flags; (None, None) if unset."""
+    """Build the resilience policy from the shared flags; ``None`` if unset."""
     from repro.resilience import (
         AdmissionController,
         FaultInjector,
@@ -179,10 +162,7 @@ def _resilience_from_args(args: argparse.Namespace):
     if faults is not None and retry is None:
         retry = RetryPolicy()
     admission = (
-        AdmissionController(
-            args.memory_budget,
-            fill_workers=getattr(args, "fill_workers", None),
-        )
+        AdmissionController(args.memory_budget)
         if args.memory_budget is not None
         else None
     )
@@ -192,14 +172,13 @@ def _resilience_from_args(args: argparse.Namespace):
         and args.probe_deadline is None
         and admission is None
     ):
-        return None, None
-    policy = ResiliencePolicy(
+        return None
+    return ResiliencePolicy(
         faults=faults,
         retry=retry,
         deadline_s=args.probe_deadline,
         admission=admission,
     )
-    return policy, faults
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,27 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "exhibit",
         choices=["fig1", "fig2", "fig3", "fig4", "tables", "table7", "ablations", "census"],
     )
-
-    p_health = sub.add_parser(
-        "health",
-        help="fill-fabric hygiene: reap orphaned shared-memory segments "
-             "and optionally self-test the supervised parallel fill",
-    )
-    p_health.add_argument(
-        "--no-reap", action="store_true",
-        help="report without sweeping orphaned /dev/shm fabric segments",
-    )
-    p_health.add_argument(
-        "--self-test", action="store_true",
-        help="run a real process-parallel DP fill on a 2-worker fabric "
-             "and verify it bit-identical to the single-process "
-             "reference (includes the table-integrity pass)",
-    )
-    p_health.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the health payload (start method, reaped segments, "
-             "self-test snapshot) to PATH as JSON",
-    )
     return parser
 
 
@@ -430,12 +388,11 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     )
 
     try:
-        resilience, faults = _resilience_from_args(args)
+        resilience = _resilience_from_args(args)
     except InvalidInstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    fill_fabric = None
     try:
         spec = get_spec(args.backend)
         if spec.decision_only:
@@ -446,26 +403,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                 "table-producing backend such as 'auto' or 'vectorized'"
             )
         resolve_kwargs = {}
-        if args.fill_workers is not None and args.fill_workers < 1:
-            raise BackendError(
-                f"--fill-workers must be >= 1, got {args.fill_workers}"
-            )
-        if (
-            args.fill_workers is not None
-            and args.fill_workers > 1
-            and spec.fabric_aware
-        ):
-            from repro.parallel.fabric import BlockExecutor
-
-            # The fabric shares the chaos injector so its
-            # "fabric.worker" site can SIGKILL real pool workers.
-            fabric_kwargs = {}
-            if args.fill_min_cells is not None:
-                fabric_kwargs["min_parallel_cells"] = args.fill_min_cells
-            fill_fabric = BlockExecutor(
-                workers=args.fill_workers, faults=faults, **fabric_kwargs
-            )
-            resolve_kwargs["fill_fabric"] = fill_fabric
         if args.no_sparsify and spec.sparsify_aware:
             resolve_kwargs["sparsify"] = False
         solver = resolve(args.backend, **resolve_kwargs)
@@ -487,8 +424,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
     if args.parallel_probes and not spec.simulated:
         executor = ParallelHostExecutor(
-            workers=args.parallel_probes, resilience=resilience,
-            fill_workers=args.fill_workers,
+            workers=args.parallel_probes, resilience=resilience
         )
     else:
         executor = default_executor(solver, resilience=resilience)
@@ -506,12 +442,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_BACKEND_FAILURE
-    finally:
-        # The fabric's worker pool and shared segments must not outlive
-        # the command — leaked segments would trip the resource tracker
-        # at interpreter exit.
-        if fill_fabric is not None:
-            fill_fabric.close()
     print(f"instance: {inst}")
     print(
         f"PTAS(eps={args.eps}, {args.search}): makespan {result.makespan} "
@@ -608,8 +538,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             deadline_s=args.probe_deadline,
             memory_budget_bytes=args.memory_budget,
             degrade=not args.no_degrade,
-            fill_workers=args.fill_workers,
-            fill_min_cells=args.fill_min_cells,
             sparsify=False if args.no_sparsify else None,
         )
     except (BackendError, InvalidInstanceError) as exc:
@@ -617,8 +545,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        with scheduler:
-            report = scheduler.run(instances)
+        report = scheduler.run(instances)
     except MemoryBudgetExceeded as exc:
         print(f"error: memory budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -649,23 +576,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     if faults is not None and faults.events:
         print(f"faults injected: {len(faults.events)}")
-    fabric = report.fabric or {}
-    recovery = {
-        k: fabric[k]
-        for k in (
-            "pool_restarts",
-            "waves_reexecuted",
-            "workers_killed",
-            "inline_fallbacks",
-            "segments_reaped",
-        )
-        if k in fabric
-    }
-    if recovery:
-        print(
-            "fabric recovery: "
-            + ", ".join(f"{k}={v}" for k, v in recovery.items())
-        )
     return EXIT_DEGRADED if report.degraded_count else EXIT_OK
 
 
@@ -714,8 +624,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             retry=retry,
             deadline_s=args.probe_deadline,
             memory_budget_bytes=args.memory_budget,
-            fill_workers=args.fill_workers,
-            fill_min_cells=args.fill_min_cells,
             sparsify=False if args.no_sparsify else None,
         )
     except (BackendError, InvalidInstanceError) as exc:
@@ -863,83 +771,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.parallel.fabric import (
-        BlockExecutor,
-        fabric_start_method,
-        reap_orphans,
-    )
-
-    payload: dict = {"start_method": fabric_start_method()}
-    print(f"start method: {payload['start_method']}")
-    if args.no_reap:
-        payload["reaped_segments"] = []
-        print("orphan reaper: skipped (--no-reap)")
-    else:
-        reaped = reap_orphans()
-        payload["reaped_segments"] = list(reaped)
-        print(f"orphan reaper: {len(reaped)} segment(s) reclaimed")
-        for name in reaped:
-            print(f"  reaped {name}")
-
-    code = EXIT_OK
-    if args.self_test:
-        import numpy as np
-
-        from repro.dptable.plan import build_probe_plan
-        from repro.errors import ReproError
-
-        try:
-            # Big enough that every wave actually dispatches to the
-            # pool (min_parallel_cells=1), small enough to stay a
-            # sub-second smoke even on one core.
-            plan = build_probe_plan((6, 5, 4), (3, 5, 7), 30)
-            with BlockExecutor(workers=2) as fabric:
-                got = fabric.fill(plan, min_parallel_cells=1)
-                snapshot = fabric.health().as_dict()
-            with BlockExecutor(workers=1) as reference:
-                ref = reference.fill(plan)
-            identical = bool(np.array_equal(ref, got))
-        except (ReproError, OSError) as exc:
-            print(
-                f"error: self-test failed: {type(exc).__name__}: {exc}",
-                file=sys.stderr,
-            )
-            payload["self_test"] = {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            code = EXIT_BACKEND_FAILURE
-        else:
-            payload["self_test"] = {"ok": identical, **snapshot}
-            checked = snapshot.get("integrity_cells_checked", 0)
-            if identical:
-                print(
-                    f"self-test: parallel fill bit-identical to the "
-                    f"reference ({checked} cells integrity-checked, "
-                    f"pool generation {snapshot['generation']})"
-                )
-            else:
-                print(
-                    "error: self-test fill DIVERGED from the "
-                    "single-process reference",
-                    file=sys.stderr,
-                )
-                code = EXIT_BACKEND_FAILURE
-
-    if args.json:
-        import json
-
-        try:
-            with open(args.json, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        except OSError as exc:
-            print(f"error: cannot write health file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"health written to {args.json}")
-    return code
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -951,8 +782,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_serve(args)
     if args.command == "engines":
         return _cmd_engines(args)
-    if args.command == "health":
-        return _cmd_health(args)
     return _cmd_experiment(args)
 
 

@@ -64,11 +64,7 @@ def relaxation_scratch_bytes(sigma: int, dtype: np.dtype) -> int:
     return 2 * int(sigma) * int(dtype.itemsize)
 
 
-def estimate_fill_bytes(
-    counts,
-    value_bound: Optional[int] = None,
-    fill_workers: Optional[int] = None,
-) -> int:
+def estimate_fill_bytes(counts, value_bound: Optional[int] = None) -> int:
     """Conservative peak-byte estimate for one dense DP fill — no allocation.
 
     The base estimate is ``sigma * (narrow_itemsize + 8)``: the
@@ -76,19 +72,9 @@ def estimate_fill_bytes(
     ``value_bound``, default ``sum(counts)``) plus the canonical int64
     table that :func:`widen_table` materialises at the end.
 
-    With ``fill_workers`` set (a host-parallel fill on the
-    :mod:`repro.parallel.fabric`), the estimate additionally covers
-    what that path allocates: the shared plan-shipment segment holding
-    the int64 wave order (``sigma * 8`` — the configs part is smaller
-    and already counted by the headroom below), plus each worker's
-    transient chunk scratch — coordinates, predecessor indices, and the
-    ``best`` buffer for its slice of a wave, ``~(ndim + 2) * 8`` bytes
-    per cell across the at-most-``sigma`` cells a wave can hold.
-
     Everything is arithmetic on the count vector, so admission control
     (:class:`repro.resilience.AdmissionController`) can reject an
-    oversized probe *before* any array — or shared-memory segment —
-    exists.
+    oversized probe *before* any array exists.
     """
     counts = tuple(int(c) for c in counts)
     sigma = 1
@@ -96,13 +82,7 @@ def estimate_fill_bytes(
         sigma *= c + 1
     bound = int(value_bound) if value_bound is not None else sum(counts)
     dtype = pick_table_dtype(bound)
-    total = sigma * (int(dtype.itemsize) + int(np.dtype(np.int64).itemsize))
-    if fill_workers is not None and int(fill_workers) > 1:
-        ndim = len(counts)
-        order_segment = sigma * 8
-        worker_scratch = sigma * (ndim + 2) * 8
-        total += order_segment + worker_scratch
-    return total
+    return sigma * (int(dtype.itemsize) + int(np.dtype(np.int64).itemsize))
 
 
 def widen_table(table: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ independent.
 from __future__ import annotations
 
 import contextvars
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
@@ -236,19 +235,12 @@ class ParallelHostExecutor(_AccountingExecutor):
     thread-safe.  Attributes ``last_round_wall_s`` and
     ``last_probe_wall_s`` expose the most recent round's measured
     wall times (the overlap evidence).
-
-    ``fill_workers`` declares that each probe may itself fan out onto
-    that many fill-fabric processes (``--fill-workers``); the probe
-    thread count is then capped so ``threads * fill_workers`` does not
-    oversubscribe the host's cores — two layers of parallelism
-    multiply, they do not add.
     """
 
     def __init__(
         self,
         workers: int = 4,
         resilience: Optional["ResiliencePolicy"] = None,
-        fill_workers: Optional[int] = None,
     ) -> None:
         super().__init__(resilience=resilience)
         if workers < 1:
@@ -256,10 +248,6 @@ class ParallelHostExecutor(_AccountingExecutor):
                 f"workers must be a positive integer, got {workers}"
             )
         self.workers = int(workers)
-        self.fill_workers = None if fill_workers is None else int(fill_workers)
-        if self.fill_workers is not None and self.fill_workers > 1:
-            cores = os.cpu_count() or 1
-            self.workers = max(1, min(self.workers, cores // self.fill_workers))
         #: wall seconds of the most recent threaded round.
         self.last_round_wall_s = 0.0
         #: per-probe wall seconds of the most recent threaded round.

@@ -20,16 +20,17 @@ Three production kernels cover three regimes:
   contiguous slice arithmetic; the default whenever no budget is
   bound, and unbeatable on small tables where fixed overheads rule.
 
-A fourth route opens when the solver holds a fill fabric
-(:class:`~repro.parallel.fabric.BlockExecutor`):
+A fourth route opens only when a caller builds the kernel with a fill
+fabric (:class:`~repro.parallel.fabric.BlockExecutor`); no registered
+backend or service front end does:
 
 * **hostpar** — the anti-diagonal wavefront executed process-parallel
-  over a shared narrow-dtype table.  Its ``sigma * |C|`` gathers split
-  near-linearly across workers, so it wins exactly where the
-  single-core kernels are at their worst: *large exact fills*.  With a
-  machine budget bound the decision kernel keeps the route closed —
-  its O(1) load-bound rejects and clamp-bounded rounds do less total
-  work than any parallel full fill.
+  over a shared narrow-dtype table, for large exact fills.  It is a
+  library-only route kept for the layered benchmark's fabric column:
+  measured on a 2-core host it is at least 5x slower than the fastest
+  single-core kernel at every table size (``docs/PERFORMANCE.md``).
+  With a machine budget bound the decision kernel keeps the route
+  closed.
 
 :func:`choose_kernel` predicts the regime from quantities that are
 free before any fill: the table size ``sigma``, ``|C|``, the machine
@@ -202,8 +203,7 @@ class AutoKernel:
         :func:`choose_kernel`).
     fill_fabric:
         Optional :class:`~repro.parallel.fabric.BlockExecutor`; opens
-        the ``hostpar`` route for large exact fills.  The service
-        pipeline injects it when ``--fill-workers`` is set.
+        the library-only ``hostpar`` route for large exact fills.
     sparsify:
         Dominance-prune the configuration set before filling (default
         on — ``auto`` is a decision-mode front-end).  Every route

@@ -11,9 +11,9 @@ historically re-derived all of it per probe from scratch.  A
 * the five simulator engines (:mod:`repro.engines`) interpret a plan,
   keeping only their cost semantics (warp packing, stream assignment,
   launch overheads);
-* the real host-parallel wavefront
-  (:func:`repro.parallel.wavefront.parallel_wavefront_dp`) walks the
-  *same* level schedule, so simulated and real execution provably use
+* the process-parallel fill fabric
+  (:class:`repro.parallel.fabric.BlockExecutor`) walks the *same*
+  level schedule, so simulated and real execution provably use
   identical orders;
 * :class:`repro.core.probe_cache.PlanCache` memoizes plans across the
   probes of a search and across the requests of a batch (quarter-split

@@ -113,15 +113,11 @@ def fill_by_groups(
     return widen_table(table)
 
 
-def fill_plan(plan, fill_fabric=None, blocked_dim=None, sparsify: bool = False) -> np.ndarray:
-    """One plan's flat int64 table, sequentially or on the fill fabric.
+def fill_plan(plan, blocked_dim=None, sparsify: bool = False) -> np.ndarray:
+    """One plan's flat int64 table, filled in the engine's own group order.
 
-    With ``fill_fabric`` (a :class:`~repro.parallel.fabric.BlockExecutor`)
-    the waves run process-parallel over a shared narrow-dtype arena;
-    otherwise :func:`fill_by_groups` executes the same groups inline.
-    Both paths are bit-identical (property-tested); the sequential path
-    additionally certifies the schedule's dependency safety, which is
-    why the fabric may trust it.
+    :func:`fill_by_groups` executes the plan's groups inline and
+    certifies the schedule's dependency safety along the way.
 
     ``blocked_dim=None`` selects the anti-diagonal level schedule;
     an integer selects the blocked ``(block-level, in-block-level)``
@@ -129,8 +125,6 @@ def fill_plan(plan, fill_fabric=None, blocked_dim=None, sparsify: bool = False) 
     plan's dominance-pruned maximal subset with clipped predecessors —
     same table, fewer configuration passes.
     """
-    if fill_fabric is not None:
-        return fill_fabric.fill(plan, blocked_dim=blocked_dim, sparsify=sparsify)
     groups = (
         plan.level_groups()
         if blocked_dim is None

@@ -66,7 +66,6 @@ class GpuPartitionedEngine:
         check_memory: bool = True,
         block_residency: bool = False,
         plan_cache=None,
-        fill_fabric=None,
         sparsify: bool = False,
     ) -> None:
         self.dim = dim
@@ -80,9 +79,6 @@ class GpuPartitionedEngine:
         # implementation; the future-work bench turns it on.
         self.block_residency = block_residency
         self.plan_cache = plan_cache
-        # Optional repro.parallel.fabric.BlockExecutor: route the real
-        # table fill through host processes (simulated costs unchanged).
-        self.fill_fabric = fill_fabric
         self.sparsify = bool(sparsify)
         self.total_simulated_s = 0.0
         self.runs: list[EngineRun] = []
@@ -119,12 +115,9 @@ class GpuPartitionedEngine:
         partition = blocked.partition
         layout = blocked.layout  # the Alg. 4 reorg, materialised on the plan
 
-        # Real DP values in the engine's own order: the sequential path
-        # verifies no dependency is violated by the blocked schedule;
-        # the fabric path executes the same waves process-parallel.
-        table = fill_plan(
-            plan, self.fill_fabric, blocked_dim=self.dim, sparsify=sparse
-        )
+        # Real DP values in the engine's own order: the fill verifies
+        # no dependency is violated by the blocked schedule.
+        table = fill_plan(plan, blocked_dim=self.dim, sparsify=sparse)
         dp_result = DPResult(
             table=table.reshape(geometry.shape), configs=plan.configs
         )

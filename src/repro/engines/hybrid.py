@@ -50,20 +50,15 @@ class HybridEngine:
         gpu_spec: DeviceSpec = KEPLER_K40,
         costs: CostConstants = DEFAULT_COSTS,
         plan_cache=None,
-        fill_fabric=None,
         sparsify: bool = False,
     ) -> None:
-        # The fabric (repro.parallel.fabric.BlockExecutor) threads down
-        # to both sub-engines: whichever wins the prediction routes its
-        # real table fill through the same shared worker pool.  The
-        # sparsify knob threads down the same way so the winner fills
-        # (and charges) the dominance-pruned set.
+        # The sparsify knob threads down to both sub-engines so the
+        # winner fills (and charges) the dominance-pruned set.
         self.cpu_engine = OpenMPEngine(
             threads=threads,
             spec=cpu_spec,
             costs=costs,
             plan_cache=plan_cache,
-            fill_fabric=fill_fabric,
             sparsify=sparsify,
         )
         self.gpu_engine = GpuPartitionedEngine(
@@ -71,13 +66,11 @@ class HybridEngine:
             spec=gpu_spec,
             costs=costs,
             plan_cache=plan_cache,
-            fill_fabric=fill_fabric,
             sparsify=sparsify,
         )
         self.costs = costs
         self.dim = dim
         self.plan_cache = plan_cache
-        self.fill_fabric = fill_fabric
         self.sparsify = bool(sparsify)
         self.choices: list[str] = []
         self.runs: list[EngineRun] = []

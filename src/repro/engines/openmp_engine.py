@@ -49,7 +49,6 @@ class OpenMPEngine:
         costs: CostConstants = DEFAULT_COSTS,
         schedule: str = "static",
         plan_cache=None,
-        fill_fabric=None,
         sparsify: bool = False,
     ) -> None:
         self.threads = threads
@@ -57,9 +56,6 @@ class OpenMPEngine:
         self.costs = costs
         self.schedule = schedule
         self.plan_cache = plan_cache
-        # Optional repro.parallel.fabric.BlockExecutor: route the real
-        # table fill through host processes (simulated costs unchanged).
-        self.fill_fabric = fill_fabric
         self.sparsify = bool(sparsify)
         self.total_simulated_s = 0.0
         self.runs: list[EngineRun] = []
@@ -92,7 +88,7 @@ class OpenMPEngine:
         geometry = plan.geometry
 
         levels = plan.level_groups()
-        table = fill_plan(plan, self.fill_fabric, sparsify=sparse)
+        table = fill_plan(plan, sparsify=sparse)
         dp_result = DPResult(
             table=table.reshape(geometry.shape), configs=plan.configs
         )

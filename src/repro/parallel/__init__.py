@@ -9,29 +9,21 @@ that mirror the paper's wavefront structure.
 The load-bearing layer is :mod:`repro.parallel.fabric` — the shared-
 memory fill fabric: a persistent process pool
 (:class:`~repro.parallel.fabric.BlockExecutor`) over context-managed
-narrow-dtype table arenas, with plans shipped once per worker.  Any
-plan-aware engine can route its table fills through it; the
-``wavefront-<w>`` and ``hostpar-<p>`` backends are its direct clients.
+narrow-dtype table arenas, with plans shipped once per worker.  No
+registered backend, engine or service front end uses it; its only
+in-library client is :class:`~repro.core.kernels.AutoKernel` built with
+``fill_fabric=`` (the ``hostpar`` kernel route).  Measured against the
+single-core kernels it loses at every table size on a 2-core host
+(``docs/PERFORMANCE.md``), so nothing imports this package on a
+request path.
 """
 
 from repro.parallel.chunking import split_evenly, split_by_cost
-from repro.parallel.fabric import (
-    BlockExecutor,
-    HostParallelSolver,
-    SharedTableArena,
-    shared_fabric,
-    shutdown_fabrics,
-)
-from repro.parallel.wavefront import WavefrontSolver, parallel_wavefront_dp
+from repro.parallel.fabric import BlockExecutor, SharedTableArena
 
 __all__ = [
-    "parallel_wavefront_dp",
-    "WavefrontSolver",
     "BlockExecutor",
-    "HostParallelSolver",
     "SharedTableArena",
-    "shared_fabric",
-    "shutdown_fabrics",
     "split_evenly",
     "split_by_cost",
 ]

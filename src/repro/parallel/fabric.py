@@ -1,8 +1,12 @@
 """The shared-memory fill fabric: process-parallel plan execution.
 
-This module generalises the SharedMemory machinery that used to live
-privately in :mod:`repro.parallel.wavefront` into a layer **any**
-plan-aware engine can use:
+A library-only layer: no registered backend, engine or service front
+end holds a fabric, so no request path reaches it.  It is used by
+:class:`~repro.core.kernels.AutoKernel` when built with
+``fill_fabric=`` (the ``hostpar`` kernel route) and by the layered
+benchmark (``perfbench/``), which times a 2-worker fill against the
+single-core kernels — on a 2-core host it is slower at every measured
+table size (``docs/PERFORMANCE.md``).  It consists of:
 
 * :class:`SharedTableArena` — one context-managed shared segment
   holding a narrow-dtype DP table (dtype from
@@ -20,9 +24,6 @@ plan-aware engine can use:
   attached lazily **once per worker**, keyed on a digest of the exact
   plan signature (:func:`repro.dptable.plan.configs_signature`), so
   repeated probes over the same plan reuse the mapping zero-copy.
-
-* :class:`HostParallelSolver` — the ``hostpar-<p>`` registry backend:
-  a thin :class:`~repro.core.ptas.DPSolver` client of the fabric.
 
 **Start method.**  The fabric pins its multiprocessing start method
 explicitly instead of inheriting the platform default: ``forkserver``
@@ -59,21 +60,19 @@ degraded-bound machinery of :mod:`repro.resilience`.
 (only segments whose creating pid is dead are touched); every pool
 start runs a sweep.  :meth:`BlockExecutor.health` reports the full
 :class:`FabricHealth` snapshot — worker pids, restarts, re-executed
-waves, reaped segments — which the service layer surfaces through
-batch reports, daemon ``stats()``, and the ``health`` CLI command.
+waves, reaped segments.
 
 Per the HPC-Python guidance the worker bodies are fully vectorized
 (one gather + min-reduce per configuration per chunk); only tiny task
 tuples cross the process boundary.  Results are bit-identical to
 :func:`repro.engines.base.fill_by_groups` over the same groups
-(property-tested across the registry): the same narrow dtype, the same
+(property-tested): the same narrow dtype, the same
 per-configuration min-reduce, widened at the boundary by
 :func:`repro.core.dp_common.widen_table`.
 """
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import os
 import re
@@ -93,8 +92,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.dp_common import (
-    DPResult,
-    empty_dp_result,
     pick_table_dtype,
     unreachable_for,
     widen_table,
@@ -621,7 +618,7 @@ class BlockExecutor:
 
     The pool starts lazily on the first wave large enough to dispatch
     and survives across fills — the whole point: per-probe pool spawns
-    were the dominant overhead of the old wavefront backend.  Plan
+    would otherwise dominate every fill.  Plan
     shipments are cached (bounded LRU) and shipped to each worker at
     most once per plan.  ``close()`` releases the pool and every
     shipment but leaves the executor reusable: the next fill lazily
@@ -740,7 +737,7 @@ class BlockExecutor:
         """Shut the pool down and unlink every shipment (idempotent).
 
         ``force=True`` terminates workers instead of letting queued
-        tasks finish — the dirty-shutdown path of the service daemon.
+        tasks finish — the path for an owner that must not wait.
         The executor stays usable: a later fill restarts the pool.  A
         fill in flight on another thread observes the close (its pool
         generation is gone) and raises a clean, retryable
@@ -1167,120 +1164,3 @@ class BlockExecutor:
                     self._integrity_checked += size
                 obs.count("integrity.checked", size)
             return arena.widened()
-
-
-# ---------------------------------------------------------------------------
-# Shared fabrics + the hostpar backend
-# ---------------------------------------------------------------------------
-
-_SHARED_FABRICS: dict[int, BlockExecutor] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def shared_fabric(workers: int = 4) -> BlockExecutor:
-    """The process-wide fabric for ``workers`` (created on first use).
-
-    Registry factories build a fresh solver per request; sharing the
-    executor here is what makes the pool — and the shipped plans —
-    persist across probes.  :func:`shutdown_fabrics` releases them all
-    (each stays reusable afterwards).
-    """
-    workers = int(workers)
-    if workers < 1:
-        raise DPError(f"workers must be >= 1, got {workers}")
-    with _SHARED_LOCK:
-        fabric = _SHARED_FABRICS.get(workers)
-        if fabric is None:
-            fabric = BlockExecutor(workers=workers)
-            _SHARED_FABRICS[workers] = fabric
-        return fabric
-
-
-def shutdown_fabrics(force: bool = False) -> int:
-    """Close every shared fabric; returns how many had a live pool."""
-    with _SHARED_LOCK:
-        fabrics = list(_SHARED_FABRICS.values())
-    closed = sum(1 for f in fabrics if f.alive)
-    for fabric in fabrics:
-        fabric.close(force=force)
-    return closed
-
-
-# Shared fabrics are process-wide by design, so no scope closes them;
-# unlink their shipment segments before the resource tracker can flag
-# them at interpreter exit.  Explicitly-owned executors (the service
-# pipeline, the CLI) are closed by their owners long before this.
-atexit.register(shutdown_fabrics, force=True)
-
-
-class HostParallelSolver:
-    """``hostpar-<p>``: exact DP fills on the shared fill fabric.
-
-    Satisfies the :class:`~repro.core.ptas.DPSolver` protocol.  Unlike
-    the historical wavefront backend this keeps its worker pool (and
-    shipped plans) alive across probes via :func:`shared_fabric` —
-    pass ``fill_fabric`` to pin a specific executor instead (the
-    service pipeline does, so its lifecycle hooks own the pool).
-    Pure wall-clock execution: no simulated time, no ``runs`` log.
-    ``sparsify`` fills with the dominance-pruned set via clipped
-    gathers (bit-identical tables, default off).  ``min_parallel_cells``
-    defaults to ``None`` — defer to the fabric's own threshold, so the
-    executor that owns the pool (the service pipeline, a tuned CLI run)
-    controls when waves dispatch.
-    """
-
-    supports_sparsify = True
-
-    def __init__(
-        self,
-        workers: int = 4,
-        min_parallel_cells: Optional[int] = None,
-        plan_cache=None,
-        fill_fabric: Optional[BlockExecutor] = None,
-        sparsify: bool = False,
-    ) -> None:
-        if workers < 1:
-            raise DPError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        self.min_parallel_cells = (
-            None if min_parallel_cells is None else int(min_parallel_cells)
-        )
-        self.plan_cache = plan_cache
-        self.fabric = fill_fabric if fill_fabric is not None else shared_fabric(workers)
-        self.sparsify = bool(sparsify)
-
-    @property
-    def name(self) -> str:
-        """Backend label, e.g. ``hostpar-4``."""
-        return f"hostpar-{self.workers}"
-
-    def __call__(
-        self,
-        counts: Sequence[int],
-        class_sizes: Sequence[int],
-        target: int,
-        configs: Optional[np.ndarray] = None,
-        model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
-    ) -> DPResult:
-        """DPSolver protocol: solve one probe on the fabric."""
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != len(class_sizes):
-            raise DPError("counts and class_sizes must have equal length")
-        if len(counts) == 0:
-            return empty_dp_result()
-        from repro.engines.base import resolve_plan
-
-        effective = self.sparsify if sparsify is None else bool(sparsify)
-        plan = resolve_plan(
-            self.plan_cache, counts, class_sizes, target, configs, None,
-            model_token=model_token,
-        )
-        if configs is None:
-            configs = plan.configs
-        flat = self.fabric.fill(
-            plan,
-            min_parallel_cells=self.min_parallel_cells,
-            sparsify=effective,
-        )
-        return DPResult(table=flat.reshape(plan.geometry.shape), configs=configs)

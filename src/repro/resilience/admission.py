@@ -47,33 +47,19 @@ class AdmissionController:
     ``memory_budget_bytes`` is the per-probe ceiling; probes whose
     estimate exceeds it are refused with
     :class:`~repro.errors.MemoryBudgetExceeded`.
-
-    ``fill_workers`` declares that fills may run host-parallel on the
-    shared-memory fill fabric: the estimate then also covers the plan
-    shipment segment and per-worker chunk scratch (see
-    :func:`~repro.core.dp_common.estimate_fill_bytes`), so
-    :class:`~repro.errors.MemoryBudgetExceeded` fires *before* any
-    shared segment is created.
     """
 
     memory_budget_bytes: int
-    fill_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.memory_budget_bytes < 1:
             raise InvalidInstanceError(
                 f"memory_budget_bytes must be >= 1, got {self.memory_budget_bytes}"
             )
-        if self.fill_workers is not None and self.fill_workers < 1:
-            raise InvalidInstanceError(
-                f"fill_workers must be >= 1 (or None), got {self.fill_workers}"
-            )
 
     def estimate(self, counts: Sequence[int], value_bound: Optional[int] = None) -> int:
         """Estimated peak bytes for a fill over ``counts`` (no allocation)."""
-        return estimate_fill_bytes(
-            counts, value_bound=value_bound, fill_workers=self.fill_workers
-        )
+        return estimate_fill_bytes(counts, value_bound=value_bound)
 
     def admit(
         self,

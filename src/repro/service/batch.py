@@ -139,12 +139,6 @@ class BatchReport:
     #: tallies of the batch's shared plan cache (``None`` when the
     #: batch's backend is not plan-aware).
     plan_cache_stats: Optional[CacheStats] = None
-    #: the fill fabric's :class:`~repro.parallel.fabric.FabricHealth`
-    #: snapshot after the batch (``None`` without ``fill_workers``).
-    #: Zero recovery tallies are already omitted inside the dict, so a
-    #: healthy batch reports only the pool shape — the ``CacheStats``
-    #: zero-noise convention.
-    fabric: Optional[Dict[str, object]] = None
     wall_s: float = 0.0
 
     @property
@@ -229,7 +223,6 @@ class BatchReport:
             "plan_cache": (
                 self.plan_cache_stats.as_dict() if self.plan_cache_stats else {}
             ),
-            **({"fabric": self.fabric} if self.fabric is not None else {}),
             "wall_s": self.wall_s,
         }
 
@@ -266,16 +259,6 @@ class BatchScheduler:
         served a bounded LPT/MULTIFIT baseline answer tagged
         ``degraded=True`` instead of aborting the batch — N requests
         always produce N results.  ``False`` re-raises the failure.
-    fill_workers:
-        When > 1, the pipeline owns a persistent fill fabric
-        (:class:`~repro.parallel.fabric.BlockExecutor`) of that many
-        processes, injected into every fabric-aware backend so large
-        fills run host-parallel.  Call :meth:`close` (or use the
-        scheduler as a context manager) to shut the pool down; the
-        admission estimate automatically covers the fabric's shared
-        segments.  ``fill_min_cells`` overrides the fabric's dispatch
-        threshold (waves below it run inline) — chaos tests set it to 1
-        so every wave really crosses the process boundary.
     sparsify:
         Configuration-sparsification override (see
         :mod:`repro.core.sparsify`): ``None`` (default) keeps each
@@ -305,8 +288,6 @@ class BatchScheduler:
         deadline_s: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
         degrade: bool = True,
-        fill_workers: Optional[int] = None,
-        fill_min_cells: Optional[int] = None,
         sparsify: Optional[bool] = None,
     ) -> None:
         if workers < 1:
@@ -324,7 +305,6 @@ class BatchScheduler:
             retry=retry,
             deadline_s=deadline_s,
             memory_budget_bytes=memory_budget_bytes,
-            fill_workers=fill_workers,
         )
         self.pipeline = ProbePipeline(
             backend=backend,
@@ -332,22 +312,19 @@ class BatchScheduler:
             resilience=resilience,
             faults=faults,
             degrade=bool(degrade),
-            fill_workers=fill_workers,
-            fill_min_cells=fill_min_cells,
             sparsify=sparsify,
         )
         self.search = search
         self.eps = eps
 
-    def close(self, force: bool = False) -> None:
-        """Shut the pipeline's fill-fabric pool down (idempotent).
+    def close(self) -> None:
+        """Release the scheduler (a no-op, kept for explicit callers).
 
-        A scheduler without ``fill_workers`` has nothing to release.
-        ``force=True`` terminates fabric workers instead of letting
-        in-flight wave tasks finish.  The scheduler stays usable — a
-        later batch lazily restarts the pool.
+        Every fill runs in-process on the batch's threads, so the
+        scheduler holds no pool or shared segment between batches; the
+        method and the context manager remain so code that closes its
+        scheduler keeps working.
         """
-        self.pipeline.close(force=force)
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -443,6 +420,5 @@ class BatchScheduler:
         for item_result, tracer in outcomes:
             report.results.append(item_result)
             report.tracer.merge(tracer)
-        report.fabric = self.pipeline.fabric_health()
         report.wall_s = time.perf_counter() - start
         return report

@@ -211,12 +211,6 @@ class SchedulingService:
     faults / retry / deadline_s / memory_budget_bytes / degrade:
         The resilience knobs, forwarded to the shared pipeline (see
         ``docs/RELIABILITY.md``).
-    fill_workers:
-        When > 1, the pipeline owns a persistent fill fabric
-        (:class:`~repro.parallel.fabric.BlockExecutor`) injected into
-        fabric-aware backends.  :meth:`shutdown` releases the pool on
-        both the clean-drain and dirty-timeout paths, so no fabric
-        worker ever outlives the service.
     sparsify:
         Configuration-sparsification override for sparsify-aware
         backends (``None`` keeps backend defaults; ``False`` also
@@ -240,8 +234,6 @@ class SchedulingService:
         deadline_s: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
         degrade: bool = True,
-        fill_workers: Optional[int] = None,
-        fill_min_cells: Optional[int] = None,
         sparsify: Optional[bool] = None,
         max_queue: Optional[int] = None,
     ) -> None:
@@ -252,7 +244,6 @@ class SchedulingService:
             retry=retry,
             deadline_s=deadline_s,
             memory_budget_bytes=memory_budget_bytes,
-            fill_workers=fill_workers,
         )
         self.pipeline = ProbePipeline(
             backend=backend,
@@ -260,8 +251,6 @@ class SchedulingService:
             resilience=resilience,
             faults=faults,
             degrade=bool(degrade),
-            fill_workers=fill_workers,
-            fill_min_cells=fill_min_cells,
             sparsify=sparsify,
         )
         self.backend = backend
@@ -323,7 +312,6 @@ class SchedulingService:
         """
         self._closing = True
         if not self._started:
-            self.pipeline.close()
             return True
         if not drain:
             self._flush_queue()
@@ -340,10 +328,6 @@ class SchedulingService:
         self._started = False
         if not clean:
             self._abandon_inflight()
-        # Both exits release the fill-fabric pool: a drained service
-        # closes it gracefully, a dirty shutdown terminates its
-        # workers — either way nothing outlives the daemon.
-        self.pipeline.close(force=not clean)
         self.metrics.count("shutdown.clean" if clean else "shutdown.timeout")
         return clean
 
@@ -562,10 +546,8 @@ class SchedulingService:
 
         Contains the service metrics (counters + latency percentiles),
         queue depth and in-flight/coalescing state, per-tenant quota
-        occupancy, the shared probe/plan cache tallies, the merged
-        tracer counters of every completed request, and the fill
-        fabric's health snapshot (``"fabric"``, ``{}`` when the daemon
-        runs without ``fill_workers``).
+        occupancy, the shared probe/plan cache tallies, and the merged
+        tracer counters of every completed request.
         """
         snapshot = self.metrics.snapshot()
         coalescing_rate = self.metrics.ratio("coalesced", "submitted")
@@ -602,10 +584,6 @@ class SchedulingService:
                     self.tracer.counters.get("warmstart.cells_reused", 0)
                 ),
             },
-            # Fill-fabric supervision snapshot (worker pids, restarts,
-            # re-executed waves, reaped segments); {} without a fabric
-            # so the key is always present for dashboards.
-            "fabric": self.pipeline.fabric_health() or {},
         }
 
     async def join(self) -> None:

@@ -60,7 +60,6 @@ def build_resilience(
     retry: Optional[RetryPolicy] = None,
     deadline_s: Optional[float] = None,
     memory_budget_bytes: Optional[int] = None,
-    fill_workers: Optional[int] = None,
 ) -> Tuple[Optional[ResiliencePolicy], Optional[FaultInjector]]:
     """The resilience policy both service front-ends construct.
 
@@ -69,17 +68,11 @@ def build_resilience(
     and retrying transient faults is what makes them invisible in the
     results (``docs/RELIABILITY.md``).  Returns ``(policy, faults)``;
     the policy is ``None`` when every knob is off.
-
-    ``fill_workers`` tells the admission controller that fills may run
-    host-parallel, so memory estimates cover the fabric's shared
-    segments and per-worker scratch and
-    :class:`~repro.errors.MemoryBudgetExceeded` fires before any
-    segment is created.
     """
     if faults is not None and retry is None:
         retry = RetryPolicy()
     admission = (
-        AdmissionController(memory_budget_bytes, fill_workers=fill_workers)
+        AdmissionController(memory_budget_bytes)
         if memory_budget_bytes is not None
         else None
     )
@@ -109,14 +102,6 @@ class ProbePipeline:
     layers, ``resilience``/``faults`` the reliability knobs, and
     ``degrade`` selects bounded-baseline answers over raised failures.
 
-    ``fill_workers`` (> 1) gives the pipeline its own fill fabric — a
-    persistent :class:`~repro.parallel.fabric.BlockExecutor` injected
-    into every fabric-aware backend it resolves, so large fills run
-    process-parallel and plans ship to each worker once.  The pipeline
-    owns the pool's lifecycle: the front-ends call :meth:`close` on
-    drain (and with ``force=True`` on dirty shutdown) so no worker
-    outlives the service.
-
     ``sparsify`` controls configuration sparsification
     (:mod:`repro.core.sparsify`) on sparsify-aware backends: ``None``
     keeps each backend's own default (decision-mode kernels prune,
@@ -132,13 +117,7 @@ class ProbePipeline:
     resilience: Optional[ResiliencePolicy] = None
     faults: Optional[FaultInjector] = None
     degrade: bool = True
-    fill_workers: Optional[int] = None
-    #: fabric dispatch threshold (cells); ``None`` keeps the fabric's
-    #: default.  Chaos tests and the CI kill-smoke set it to 1 so every
-    #: wave really crosses the process boundary.
-    fill_min_cells: Optional[int] = None
     sparsify: Optional[bool] = None
-    fill_fabric: Optional[object] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         require_schedule_capable(self.backend)  # fail fast, before any work
@@ -146,42 +125,6 @@ class ProbePipeline:
             # Warm tables are seeded from prior fills; a no-sparsify
             # run promises the exact dense replay, so cold fills only.
             self.cache.warm_start = False
-        if self.fill_workers is not None:
-            if int(self.fill_workers) < 1:
-                raise BackendError(
-                    f"fill_workers must be >= 1, got {self.fill_workers}"
-                )
-            if int(self.fill_workers) > 1:
-                from repro.parallel.fabric import BlockExecutor
-
-                # The fabric shares the pipeline's fault injector: its
-                # "fabric.worker" site turns chaos decisions into real
-                # worker SIGKILLs, so service-level chaos tests exercise
-                # genuine crash recovery, not simulated exceptions.
-                kwargs: Dict[str, object] = {}
-                if self.fill_min_cells is not None:
-                    kwargs["min_parallel_cells"] = int(self.fill_min_cells)
-                self.fill_fabric = BlockExecutor(
-                    workers=int(self.fill_workers),
-                    faults=self.faults,
-                    **kwargs,
-                )
-
-    def fabric_health(self) -> Optional[dict]:
-        """The fill fabric's :class:`~repro.parallel.fabric.FabricHealth`
-        snapshot as a JSON-ready dict, or ``None`` without a fabric."""
-        if self.fill_fabric is None:
-            return None
-        return self.fill_fabric.health().as_dict()
-
-    def close(self, force: bool = False) -> None:
-        """Release the pipeline's fill fabric (idempotent, safe without one).
-
-        ``force=True`` terminates fabric workers instead of letting
-        queued wave tasks finish — the dirty-shutdown path.
-        """
-        if self.fill_fabric is not None:
-            self.fill_fabric.close(force=force)
 
     def run(self, request: "BatchRequest") -> Tuple["BatchRequestResult", Tracer]:
         """Execute one request with a fresh solver, executor, and tracer.
@@ -207,8 +150,6 @@ class ProbePipeline:
         kwargs: Dict[str, object] = {}
         if spec.plan_aware:
             kwargs["plan_cache"] = self.plan_cache
-        if spec.fabric_aware and self.fill_fabric is not None:
-            kwargs["fill_fabric"] = self.fill_fabric
         if spec.sparsify_aware and self.sparsify is not None:
             kwargs["sparsify"] = bool(self.sparsify)
         if self.faults is not None and (

@@ -13,6 +13,9 @@ from repro.backends import (
 from repro.core.dp_vectorized import dp_vectorized
 from repro.errors import BackendError, ReproError
 
+#: process-pool backend names that must not resolve: every fill is in-process.
+REMOVED_PROCESS_POOL_BACKENDS = ("hostpar", "hostpar-2", "wavefront", "wavefront-3")
+
 
 class TestListing:
     def test_default_names_present(self):
@@ -96,6 +99,8 @@ class TestResolve:
         assert is_registered("gpu-dim6")
         assert is_registered("openmp-28")  # alias
         assert not is_registered("tpu-v5")
+        for name in REMOVED_PROCESS_POOL_BACKENDS:
+            assert not is_registered(name), name
 
 
 class TestErrors:
@@ -107,6 +112,9 @@ class TestErrors:
         # The error must list the valid names so the CLI message is
         # self-explanatory.
         assert "vectorized" in message and "gpu-dim6" in message
+        for name in REMOVED_PROCESS_POOL_BACKENDS:
+            with pytest.raises(BackendError, match=name):
+                resolve(name)
 
     def test_backend_error_is_repro_and_lookup_error(self):
         with pytest.raises(ReproError):

@@ -31,14 +31,8 @@ def instances():
 
 EPS = st.sampled_from([0.2, 0.3, 0.5])
 
-#: every canonical backend whose factory accepts the sparsify knob;
-#: the host-process pools are exercised separately (spawning a worker
-#:  pool per hypothesis example would dominate the run).
-SPARSIFY_AWARE = [
-    s.name
-    for s in iter_backends()
-    if s.sparsify_aware and s.concurrency != "host-processes"
-]
+#: every canonical backend whose factory accepts the sparsify knob.
+SPARSIFY_AWARE = [s.name for s in iter_backends() if s.sparsify_aware]
 
 
 def _solver(name, sparsify):
@@ -70,9 +64,6 @@ def test_registry_exposes_the_expected_sparsify_population():
         "gpu-dim9",
         "hybrid",
     }
-    assert any(
-        s.name == "hostpar" and s.sparsify_aware for s in iter_backends()
-    )
 
 
 @given(inst=instances(), eps=EPS)
@@ -128,30 +119,44 @@ def test_probe_level_feasibility_iff_across_models(inst, eps, offset):
             assert on.schedule.makespan == off.schedule.makespan
 
 
-def test_hostpar_sparsified_probes_match_once():
-    # The fabric-backed solver, exercised once outside hypothesis (it
-    # owns a process pool); both knob positions, all three models.
-    from repro.parallel.fabric import BlockExecutor, HostParallelSolver
+def test_hostpar_sparsified_probes_match_once(monkeypatch):
+    # AutoKernel's library-only fabric route, exercised once outside
+    # hypothesis (it owns a process pool); both knob positions, all
+    # three models.  The routing floors are lowered and the machine
+    # budget is never bound, so every fill takes the hostpar route.
+    import repro.core.kernels.auto as auto_mod
+    from repro.core.kernels import AutoKernel
+    from repro.observability import Tracer
+    from repro.parallel.fabric import BlockExecutor
 
+    class ExactAutoKernel(AutoKernel):
+        def bind_machines(self, machines):
+            return self
+
+    monkeypatch.setattr(auto_mod, "HOSTPAR_MIN_WORK", 1)
+    monkeypatch.setattr(auto_mod, "SMALL_TABLE_CELLS", 0)
     inst = Instance(times=(23, 19, 17, 13, 11, 7, 5, 3), machines=3)
     with BlockExecutor(workers=2) as fab:
         for modelled in _models(inst):
+            tracer = Tracer()
             on = ptas_schedule(
                 modelled,
                 eps=0.3,
-                dp_solver=HostParallelSolver(
-                    workers=2, fill_fabric=fab, sparsify=True
-                ),
+                dp_solver=ExactAutoKernel(fill_fabric=fab, sparsify=True),
+                trace=tracer,
             )
             off = ptas_schedule(
                 modelled,
                 eps=0.3,
-                dp_solver=HostParallelSolver(
-                    workers=2, fill_fabric=fab, sparsify=False
-                ),
+                dp_solver=ExactAutoKernel(fill_fabric=fab, sparsify=False),
+                trace=tracer,
             )
             assert on.final_target == off.final_target, modelled.model
             assert on.makespan == off.makespan, modelled.model
+            assert tracer.counters.get("kernel.auto.hostpar", 0) > 0, modelled.model
+            assert set(tracer.counters) & {
+                "kernel.auto.decision", "kernel.auto.vectorized"
+            } == set(), modelled.model
 
 
 def test_sparse_tables_bit_identical_under_model_tokens():

@@ -186,17 +186,6 @@ class TestParallelHostExecutor:
             if p_seq.accepted:
                 assert p_par.schedule.assignment == p_seq.schedule.assignment
 
-    def test_fill_workers_cap_prevents_oversubscription(self):
-        import os as _os
-
-        cores = _os.cpu_count() or 1
-        ex = ParallelHostExecutor(workers=8, fill_workers=cores + 1)
-        # threads * fill_workers must not exceed the host's cores; a
-        # fabric wider than the machine leaves one probe thread.
-        assert ex.workers == 1
-        assert ParallelHostExecutor(workers=8, fill_workers=1).workers == 8
-        assert ParallelHostExecutor(workers=8).workers == 8
-
     def test_round_genuinely_overlaps(self):
         # The acceptance criterion of the real-concurrency work: a
         # four-probe round's wall time must be under the sum of its

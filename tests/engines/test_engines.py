@@ -57,27 +57,6 @@ class TestValueAgreement:
             assert run.dp_result.opt == 0
             assert run.simulated_s == 0.0
 
-    def test_fabric_backed_fills_change_nothing_observable(self, medium_probe):
-        # An injected fill fabric swaps *how* the real table is
-        # computed; the table AND the simulated accounting must be
-        # untouched (the cost model interprets the plan, not the fill).
-        from repro.engines.hybrid import HybridEngine
-        from repro.parallel.fabric import BlockExecutor
-
-        args = (medium_probe.counts, medium_probe.class_sizes, medium_probe.target)
-        with BlockExecutor(workers=2, min_parallel_cells=1) as fabric:
-            for plain, fabricated in [
-                (OpenMPEngine(threads=16), OpenMPEngine(threads=16, fill_fabric=fabric)),
-                (GpuPartitionedEngine(dim=3), GpuPartitionedEngine(dim=3, fill_fabric=fabric)),
-                (HybridEngine(), HybridEngine(fill_fabric=fabric)),
-            ]:
-                base = plain.run(*args)
-                run = fabricated.run(*args)
-                assert np.array_equal(
-                    run.dp_result.table, base.dp_result.table
-                ), plain.name
-                assert run.simulated_s == base.simulated_s, plain.name
-
 
 class TestDPSolverProtocol:
     def test_engine_as_dp_solver(self, small_instance):

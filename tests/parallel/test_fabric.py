@@ -11,13 +11,7 @@ from repro.dptable.plan import build_probe_plan
 from repro.errors import DPError
 from repro.observability import Tracer
 from repro.parallel import fabric as fabric_mod
-from repro.parallel.fabric import (
-    BlockExecutor,
-    HostParallelSolver,
-    SharedTableArena,
-    shared_fabric,
-    shutdown_fabrics,
-)
+from repro.parallel.fabric import BlockExecutor, SharedTableArena
 
 
 def _assert_unlinked(name: str) -> None:
@@ -208,81 +202,3 @@ class TestExecutorLifecycle:
         _assert_unlinked(created[1])  # arena gone the moment fill unwinds
         fab.close()
         _assert_unlinked(created[0])  # shipment gone at the latest on close
-
-
-class TestSharedFabrics:
-    def test_same_worker_count_shares_one_executor(self):
-        try:
-            assert shared_fabric(2) is shared_fabric(2)
-            assert shared_fabric(2) is not shared_fabric(3)
-        finally:
-            shutdown_fabrics()
-
-    def test_shutdown_reports_live_pools_and_leaves_reusable(self):
-        plan = build_probe_plan((3, 3), (4, 5), 12)
-        try:
-            fab = shared_fabric(2)
-            fab.fill(plan, min_parallel_cells=1)
-            assert shutdown_fabrics() >= 1
-            assert not fab.alive
-            assert shutdown_fabrics() == 0
-            flat = fab.fill(plan, min_parallel_cells=1)
-            assert flat.size == plan.geometry.size
-        finally:
-            shutdown_fabrics()
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(DPError):
-            shared_fabric(0)
-
-
-class TestHostParallelSolver:
-    def test_satisfies_dp_solver_protocol(self):
-        with BlockExecutor(workers=1) as fab:
-            solver = HostParallelSolver(workers=1, fill_fabric=fab)
-            result = solver([3, 2], [3, 5], 11)
-        ref = dp_reference([3, 2], [3, 5], 11)
-        assert np.array_equal(result.table, ref.table)
-
-    def test_name_reflects_workers(self):
-        with BlockExecutor(workers=3) as fab:
-            assert HostParallelSolver(workers=3, fill_fabric=fab).name == "hostpar-3"
-
-    def test_degenerate_no_long_jobs(self):
-        with BlockExecutor(workers=1) as fab:
-            result = HostParallelSolver(workers=1, fill_fabric=fab)([], [], 10)
-        assert result.opt == 0
-
-    def test_rejects_arity_mismatch(self):
-        with BlockExecutor(workers=1) as fab:
-            solver = HostParallelSolver(workers=1, fill_fabric=fab)
-            with pytest.raises(DPError):
-                solver([2, 2], [3], 9)
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(DPError):
-            HostParallelSolver(workers=0)
-
-    def test_uses_bound_plan_cache(self):
-        from repro.core.probe_cache import PlanCache
-
-        cache = PlanCache()
-        with BlockExecutor(workers=1) as fab:
-            solver = HostParallelSolver(workers=1, plan_cache=cache, fill_fabric=fab)
-            solver([3, 2], [3, 5], 11)
-            solver([3, 2], [3, 5], 11)
-        assert cache.stats.hits.get("plan") == 1
-        assert cache.stats.misses.get("plan") == 1
-
-    def test_registry_resolves_hostpar_family(self):
-        from repro.backends import get_spec, resolve
-
-        spec = get_spec("hostpar-2")
-        assert spec.fabric_aware and spec.plan_aware and not spec.simulated
-        try:
-            solver = resolve("hostpar-2")
-            assert solver.name == "hostpar-2"
-            result = solver([3, 2], [3, 5], 11)
-            assert np.array_equal(result.table, dp_reference([3, 2], [3, 5], 11).table)
-        finally:
-            shutdown_fabrics()

@@ -37,24 +37,6 @@ class TestEstimate:
     def test_empty_counts_is_one_cell(self):
         assert estimate_fill_bytes(()) > 0
 
-    def test_fill_workers_covers_fabric_segments_and_scratch(self):
-        counts = (6, 5, 4)
-        sigma = 7 * 6 * 5
-        base = estimate_fill_bytes(counts)
-        parallel = estimate_fill_bytes(counts, fill_workers=4)
-        # Order shipment (sigma int64s) + per-worker chunk scratch
-        # ((ndim + 2) int64-equivalents per cell across one wave).
-        assert parallel == base + sigma * 8 + sigma * (3 + 2) * 8
-
-    def test_fill_workers_one_is_the_serial_estimate(self):
-        counts = (6, 5, 4)
-        assert estimate_fill_bytes(counts, fill_workers=1) == estimate_fill_bytes(
-            counts
-        )
-        assert estimate_fill_bytes(counts, fill_workers=None) == estimate_fill_bytes(
-            counts
-        )
-
 
 class TestAdmit:
     def test_under_budget_admits_and_returns_estimate(self):
@@ -78,19 +60,6 @@ class TestAdmit:
     def test_budget_validation(self):
         with pytest.raises(InvalidInstanceError):
             AdmissionController(0)
-
-    def test_fill_workers_validation(self):
-        with pytest.raises(InvalidInstanceError):
-            AdmissionController(10**9, fill_workers=0)
-
-    def test_fill_workers_tightens_the_same_budget(self):
-        # A budget that admits the serial fill can reject the
-        # host-parallel one — the fabric's segments count too.
-        counts = (9, 9)
-        budget = estimate_fill_bytes(counts) + 1
-        AdmissionController(budget).admit(counts)
-        with pytest.raises(MemoryBudgetExceeded):
-            AdmissionController(budget, fill_workers=4).admit(counts)
 
 
 class TestRejectsBeforeAllocation:
@@ -117,9 +86,10 @@ class TestRejectsBeforeAllocation:
 
     def test_hostpar_rejection_precedes_any_segment(self, monkeypatch):
         # MemoryBudgetExceeded must fire from pure arithmetic — before
-        # the fabric creates a single SharedMemory segment.
+        # AutoKernel's fabric route creates a single SharedMemory segment.
+        from repro.core.kernels import AutoKernel
         from repro.parallel import fabric as fabric_mod
-        from repro.parallel.fabric import BlockExecutor, HostParallelSolver
+        from repro.parallel.fabric import BlockExecutor
 
         def forbidden_shm(*args, **kwargs):
             raise AssertionError(
@@ -127,12 +97,9 @@ class TestRejectsBeforeAllocation:
             )
 
         monkeypatch.setattr(fabric_mod, "SharedMemory", forbidden_shm)
-        solver = HostParallelSolver(
-            workers=2, fill_fabric=BlockExecutor(workers=2)
-        )
-        policy = ResiliencePolicy(
-            admission=AdmissionController(1, fill_workers=2)
-        )
+        monkeypatch.setattr("repro.core.kernels.auto.HOSTPAR_MIN_WORK", 1)
+        solver = AutoKernel(fill_fabric=BlockExecutor(workers=2))
+        policy = ResiliencePolicy(admission=AdmissionController(1))
         executor = SequentialExecutor(resilience=policy)
         with pytest.raises(MemoryBudgetExceeded):
             ptas_schedule(INST, eps=0.3, dp_solver=solver, executor=executor)

@@ -184,95 +184,24 @@ class TestRequests:
 
 
 class TestFillFabricLifecycle:
-    def test_fabric_pool_released_on_context_exit(self, fleet):
-        scheduler = BatchScheduler(workers=2, fill_workers=2)
-        fabric = scheduler.pipeline.fill_fabric
-        assert fabric is not None and fabric.workers == 2
-        with scheduler:
-            # Start the pool explicitly — the fleet's waves are small
-            # enough to run inline, and the lifecycle contract must
-            # hold regardless of whether any wave dispatched.  Workers
-            # spawn lazily on submit, so run one trivial task to force
-            # at least one real process up.
-            pool = fabric._ensure_pool()
-            assert pool.submit(abs, -3).result() == 3
-            pool_procs = list(fabric._worker_processes(pool))
-            assert pool_procs
-            report = scheduler.run(fleet[:2])
-        assert not fabric.alive
-        for proc in pool_procs:
-            assert not proc.is_alive()  # no orphaned workers
-        assert report.degraded_count == 0
-
-    def test_results_identical_with_and_without_fabric(self, fleet):
-        plain = BatchScheduler(workers=1).run(fleet[:3])
-        with BatchScheduler(workers=1, fill_workers=2) as scheduler:
-            fabricated = scheduler.run(fleet[:3])
-        assert fabricated.makespans() == plain.makespans()
+    """Schedulers hold no process pool: closing one releases nothing."""
 
     def test_close_without_fill_workers_is_a_no_op(self, fleet):
         scheduler = BatchScheduler(workers=1)
-        assert scheduler.pipeline.fill_fabric is None
         scheduler.close()
-        scheduler.close(force=True)
+        scheduler.close()
         assert scheduler.run(fleet[:1]).degraded_count == 0
-
-    def test_rejects_bad_fill_worker_count(self):
-        with pytest.raises(BackendError):
-            BatchScheduler(fill_workers=0)
+        with scheduler:
+            assert scheduler.run(fleet[:1]).degraded_count == 0
 
 
 class TestFabricHealthReporting:
+    """Batch reports carry no fill-fabric snapshot."""
+
     def test_report_omits_fabric_without_fill_workers(self, fleet):
         report = BatchScheduler(workers=1).run(fleet[:1])
-        assert report.fabric is None
+        assert not hasattr(report, "fabric")
         assert "fabric" not in report.as_dict()
-
-    def test_report_carries_fabric_snapshot(self, fleet):
-        with BatchScheduler(workers=1, fill_workers=2) as scheduler:
-            report = scheduler.run(fleet[:2])
-        fabric = report.as_dict()["fabric"]
-        assert fabric["workers"] == 2
-        assert fabric["start_method"] in ("forkserver", "spawn")
-        # Zero-noise convention: a quiet run reports no recovery tallies.
-        assert "pool_restarts" not in fabric
-        assert "workers_killed" not in fabric
-
-    def test_chaos_kills_leave_results_identical(self, fleet):
-        from repro.resilience import FaultInjector
-
-        # fill_min_cells=1 forces every wave across the process
-        # boundary so the fabric.worker site can deliver real SIGKILLs.
-        requests = fleet[:2]
-        with BatchScheduler(
-            backend="hostpar-2",
-            workers=1,
-            fill_workers=2,
-            fill_min_cells=1,
-        ) as scheduler:
-            clean = scheduler.run(requests)
-        injector = FaultInjector(
-            seed=11,
-            rate=0.5,
-            kinds=("crash",),
-            sites=("fabric.worker",),
-            max_failures=1,
-        )
-        with BatchScheduler(
-            backend="hostpar-2",
-            workers=1,
-            fill_workers=2,
-            fill_min_cells=1,
-            faults=injector,
-        ) as scheduler:
-            chaotic = scheduler.run(requests)
-        # Recovery is invisible in the results: same makespans, nothing
-        # degraded, and the health snapshot shows the kills happened.
-        assert chaotic.makespans() == clean.makespans()
-        assert chaotic.degraded_count == 0
-        fabric = chaotic.as_dict()["fabric"]
-        assert fabric["workers_killed"] >= 1
-        assert fabric["pool_restarts"] >= 1
 
 
 class TestValidation:

@@ -42,20 +42,6 @@ class TestSchedule:
         main(["schedule", "--machines", "3", "--random", "15", "--seed", "9"])
         assert capsys.readouterr().out == first
 
-    def test_fill_workers_does_not_change_output(self, capsys):
-        base = ["schedule", "--machines", "3", "--random", "15", "--seed", "9",
-                "--backend", "wavefront-2"]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main(base + ["--fill-workers", "2"]) == 0
-        assert capsys.readouterr().out == plain
-
-    def test_fill_workers_rejects_zero(self, capsys):
-        code = main(["schedule", "--machines", "2", "--times", "5", "6", "7",
-                     "--fill-workers", "0"])
-        assert code == 2
-        assert "--fill-workers" in capsys.readouterr().err
-
 
 class TestProfiling:
     ARGS = ["schedule", "--machines", "4", "--random", "25", "--seed", "6"]
@@ -128,12 +114,13 @@ class TestBackendFlag:
         assert "simulated" not in capsys.readouterr().out
 
     def test_unknown_backend_exits_2_listing_names(self, capsys):
-        code = main(self.ARGS + ["--backend", "tpu-v5"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "tpu-v5" in err
-        # The error must teach the valid vocabulary.
-        assert "vectorized" in err and "gpu-dim6" in err
+        for name in ("tpu-v5", "hostpar-2"):
+            code = main(self.ARGS + ["--backend", name])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown backend {name!r}" in err
+            # The error must teach the valid vocabulary.
+            assert "vectorized" in err and "gpu-dim6" in err
 
     def test_backend_with_profile_and_cache(self, capsys):
         code = main(self.ARGS + ["--backend", "gpu-dim6", "--profile", "--cache"])
@@ -314,53 +301,28 @@ class TestBatchCommand:
     def test_bad_request_count_is_usage_error(self, capsys):
         assert main(["batch", "--requests", "0"]) == 2
 
-    def test_fabric_chaos_recovers_with_identical_makespans(self, capsys):
-        # The CI kill-smoke in miniature: the same batch twice, the
-        # second with real worker SIGKILLs, must print the same
-        # makespans and exit 0 both times.
-        base = ["batch", "--requests", "2", "--jobs", "12", "--machines",
-                "3", "--seed", "5", "--backend", "hostpar-2",
-                "--fill-workers", "2", "--fill-min-cells", "1"]
-        assert main(base) == 0
-        clean = capsys.readouterr().out
-        assert main(base + [
-            "--inject-faults",
-            "seed=7,rate=0.4,kinds=crash,sites=fabric.worker,max=2",
-        ]) == 0
-        chaotic = capsys.readouterr().out
 
-        def makespans(out):
-            return [line for line in out.splitlines() if "makespan" in line]
+class TestRemovedProcessPoolSurfaces:
+    """No flag or command configures a process pool: they exit 2."""
 
-        assert makespans(chaotic) == makespans(clean)
-        assert "0 degraded" in chaotic
-        assert "fabric recovery:" in chaotic
-        assert "fabric recovery:" not in clean  # zero-noise when quiet
-
-
-class TestHealthCommand:
-    def test_reports_start_method_and_reaper(self, capsys):
-        assert main(["health"]) == 0
-        out = capsys.readouterr().out
-        assert "start method:" in out
-        assert "orphan reaper:" in out
-
-    def test_no_reap_skips_the_sweep(self, capsys):
-        assert main(["health", "--no-reap"]) == 0
-        assert "skipped (--no-reap)" in capsys.readouterr().out
-
-    def test_self_test_proves_bit_identity(self, capsys):
-        assert main(["health", "--self-test"]) == 0
-        assert "bit-identical" in capsys.readouterr().out
-
-    def test_json_payload(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "health.json"
-        assert main(["health", "--no-reap", "--json", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert payload["start_method"] in ("forkserver", "spawn")
-        assert payload["reaped_segments"] == []
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "--fill-workers", "2"],
+            ["batch", "--fill-min-cells", "1"],
+            ["schedule", "--machines", "2", "--times", "5", "6",
+             "--fill-workers", "2"],
+            ["serve", "--fill-workers", "2"],
+            ["health"],
+            ["health", "--self-test"],
+        ],
+    )
+    def test_exits_two_as_unknown_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 class TestServeCommand:

@@ -18,8 +18,9 @@ from repro.engines import (
     HybridEngine,
     OpenMPEngine,
 )
+from repro.dptable.plan import build_probe_plan
 from repro.engines.runner import run_ptas_gpu, run_ptas_openmp
-from repro.parallel import parallel_wavefront_dp
+from repro.parallel import BlockExecutor
 
 
 class TestScheduleAndPolishAndPersist:
@@ -80,14 +81,15 @@ class TestAlternativeSolversAgree:
     def test_host_parallel_matches_simulated_engines(self):
         inst = uniform_instance(25, 4, low=5, high=60, seed=3)
         rounded = round_instance(inst, 80, 0.3)
-        par = parallel_wavefront_dp(
-            rounded.counts, rounded.class_sizes, rounded.target, workers=2,
-            min_parallel_level=64,
+        plan = build_probe_plan(
+            rounded.counts, rounded.class_sizes, rounded.target
         )
+        with BlockExecutor(workers=2, min_parallel_cells=64) as fabric:
+            par = fabric.fill(plan).reshape(plan.geometry.shape)
         eng = OpenMPEngine(threads=16).run(
             rounded.counts, rounded.class_sizes, rounded.target
         )
-        assert np.array_equal(par.table, eng.dp_result.table)
+        assert np.array_equal(par, eng.dp_result.table)
 
 
 class TestGuaranteeUnderPolishAndBaselines:
