@@ -9,6 +9,12 @@ The search assigns jobs largest-first (strong early pruning), bounds
 with the volume bound ``ceil(remaining / m)`` plus the current maximum
 load, starts from the LPT makespan as the incumbent, and breaks machine
 symmetry by never opening more than one empty machine per node.
+
+:func:`brute_force_typed_optimal` is the ground truth for tiny
+``unrelated-few-types`` fleets, where a machine of speed ``s``
+completes load ``L`` at ``ceil(L / s)``: it enumerates assignments
+outright (``n <= 8``, ``m <= 4``), so it shares no pruning argument with
+the solver it checks.
 """
 
 from __future__ import annotations
@@ -108,4 +114,51 @@ def branch_and_bound_optimal(instance: Instance, node_limit: int = 5_000_000) ->
     return ExactResult(
         schedule=Schedule(instance, tuple(best_assignment)),
         nodes_explored=nodes,
+    )
+
+
+#: Size limits of :func:`brute_force_typed_optimal` (``m ** n`` leaves).
+TYPED_MAX_JOBS = 8
+TYPED_MAX_MACHINES = 4
+
+
+def brute_force_typed_optimal(instance: Instance) -> ExactResult:
+    """Optimal schedule of a tiny typed fleet by full enumeration.
+
+    Tries every assignment of ``n <= 8`` jobs to ``m <= 4`` machines
+    (at most ``4 ** 8 = 65536``) and keeps the first one, in
+    lexicographic assignment order, of least makespan; a machine of
+    speed ``s`` completes load ``L`` at ``ceil(L / s)``.  Raises
+    :class:`InvalidInstanceError` for larger instances and for models
+    other than ``unrelated-few-types``.
+    """
+    from itertools import product
+
+    from repro.models.few_types import machine_speeds
+
+    n, m = instance.n_jobs, instance.machines
+    if n > TYPED_MAX_JOBS or m > TYPED_MAX_MACHINES:
+        raise InvalidInstanceError(
+            f"brute force needs n <= {TYPED_MAX_JOBS} and m <= "
+            f"{TYPED_MAX_MACHINES}, got n={n}, m={m}"
+        )
+    if instance.model != "unrelated-few-types":
+        raise InvalidInstanceError(
+            f"brute force covers typed fleets only, got {instance.model!r}"
+        )
+    speeds = [int(s) for s in machine_speeds(instance)]
+    best_makespan = None
+    best_assignment: tuple = ()
+    leaves = 0
+    for assignment in product(range(m), repeat=n):
+        leaves += 1
+        loads = [0] * m
+        for job, machine in enumerate(assignment):
+            loads[machine] += instance.times[job]
+        span = max(-(-load // speed) for load, speed in zip(loads, speeds))
+        if best_makespan is None or span < best_makespan:
+            best_makespan, best_assignment = span, assignment
+    return ExactResult(
+        schedule=Schedule(instance, tuple(best_assignment)),
+        nodes_explored=leaves,
     )

@@ -16,7 +16,10 @@ compose through a boolean lattice convolution::
 
 A probe accepts iff ``feas_{K-1}[N]``; a witness split backtracks each
 type's share through the standard per-cell backtrack
-(:func:`repro.core.backtrack.extract_configurations_at`).  Short jobs go
+(:func:`repro.core.backtrack.extract_configurations_at`).  The
+composition runs as whole-array operations: one reversed AND per
+witness step; only the intermediate lattices of ``K >= 3`` fleets keep
+a box pass per cover cell — see :meth:`FewTypesModel._compose`.  Short jobs go
 greedily to the machine with the smallest completion time whose load is
 still below ``s * T``, opening idle machines fastest-first — for a
 1-type speed-1 fleet this is step-for-step the identical model's
@@ -58,6 +61,14 @@ def _machine_speeds(
 def machine_speeds(instance: "Instance") -> np.ndarray:
     """Per-machine speed array (length ``m``), type 0's machines first."""
     return _machine_speeds(instance.type_speeds, instance.machines_per_type)
+
+
+#: Allowance for what :meth:`FewTypesModel._compose` allocates beyond
+#: its boolean lattices and cell indices, whatever the table size (index
+#: tuples, views, scalars).  Measured, not derived: the peak
+#: ``tracemalloc`` sees during ``_compose`` minus ``K * sigma`` stays
+#: below it in ``test_admission_extra_bytes_covers_the_composition_peak``.
+_COMPOSE_OVERHEAD_BYTES = 64 * 1024
 
 
 class FewTypesModel(MachineModel):
@@ -271,7 +282,17 @@ class FewTypesModel(MachineModel):
         dp_results: Tuple["DPResult", ...],
         per_type: Tuple[int, ...],
     ) -> Optional[list]:
-        """Split the full job vector across types, or ``None`` if impossible."""
+        """Split the full job vector across types, or ``None`` if impossible.
+
+        The witness walks types last to first: at type ``t`` with
+        remaining vector ``w`` it takes the first cell ``v <= w`` (C
+        order) with ``cover_t[v]`` and ``feas_{t-1}[w - v]`` — one
+        reversed AND over the sub-box ``[0, w]``, since C order over a
+        sub-box keeps the whole table's C order.  At the last type the
+        AND is also the root test.  Only the intermediate lattices
+        ``feas_1 .. feas_{K-2}`` (``K >= 3``) are materialised, one box
+        pass ``feas_t[v:] |= feas_{t-1}[:shape - v]`` per cover cell.
+        """
         K = len(per_type)
         if rounded.dims == 0:
             return [() for _ in range(K)]
@@ -282,33 +303,35 @@ class FewTypesModel(MachineModel):
             # so skip materialising the whole-table cover lattice (the
             # identical model reads exactly this one cell too).
             return [full] if int(dp_results[0].table[full]) <= per_type[0] else None
-        covers = [dp_results[t].table <= int(per_type[t]) for t in range(K)]
-
-        feas = [covers[0]]
-        for t in range(1, K):
+        feas = [dp_results[0].table <= int(per_type[0])]
+        for t in range(1, K - 1):
             nxt = np.zeros(shape, dtype=bool)
-            for v in np.argwhere(covers[t]):
+            for flat in np.flatnonzero(dp_results[t].table <= int(per_type[t])):
+                v = np.unravel_index(flat, shape)
                 dst = tuple(slice(int(x), None) for x in v)
-                src = tuple(slice(None, int(s) - int(x)) for s, x in zip(shape, v))
+                src = tuple(slice(None, s - int(x)) for s, x in zip(shape, v))
                 np.logical_or(nxt[dst], feas[t - 1][src], out=nxt[dst])
             feas.append(nxt)
-        if not bool(feas[K - 1][full]):
-            return None
 
         cells: list = [None] * K
-        w = np.asarray(full, dtype=np.int64)
+        w = full
         for t in range(K - 1, 0, -1):
-            for v in np.argwhere(covers[t]):
-                if (v <= w).all() and bool(feas[t - 1][tuple(w - v)]):
-                    cells[t] = tuple(int(x) for x in v)
-                    w = w - v
-                    break
-            else:  # pragma: no cover - feas guarantees a witness
-                raise DPError("type composition claims feasibility but has no witness")
-        head = tuple(int(x) for x in w)
-        if not bool(covers[0][head]):  # pragma: no cover
+            hit = dp_results[t].table[tuple(slice(None, x + 1) for x in w)] <= int(per_type[t])
+            np.logical_and(hit, feas[t - 1][tuple(slice(x, None, -1) for x in w)], out=hit)
+            first = int(hit.argmax())
+            if not hit.flat[first]:
+                if t == K - 1:
+                    return None
+                raise DPError(  # pragma: no cover - feas guarantees a witness
+                    "type composition claims feasibility but has no witness"
+                )
+            v = tuple(int(x) for x in np.unravel_index(first, hit.shape))
+            del hit  # freed before the next step's (admission_extra_bytes)
+            cells[t] = v
+            w = tuple(a - b for a, b in zip(w, v))
+        if not bool(feas[0][w]):  # pragma: no cover
             raise DPError("type composition witness does not cover type 0")
-        cells[0] = head
+        cells[0] = w
         return cells
 
     def _add_short_jobs(
@@ -388,6 +411,16 @@ class FewTypesModel(MachineModel):
             raise InvalidScheduleError("machine layout does not match the fleet")
 
     def admission_extra_bytes(self, rounded: "RoundedInstance") -> int:
-        # One boolean feasibility lattice per type plus one scratch.
+        # The peak of :meth:`_compose`: ``K - 1`` boolean feasibility
+        # lattices plus one scratch lattice (the witness's hit array, or
+        # the cover of the lattice being built), and for ``K >= 3`` that
+        # cover's flat cell indices, 8 bytes each.  One type composes
+        # nothing.
         K = len(rounded.instance.type_speeds)
-        return (K + 1) * rounded.table_size
+        if K == 1:
+            return 0
+        sigma = rounded.table_size
+        extra = K * sigma + _COMPOSE_OVERHEAD_BYTES
+        if K >= 3:
+            extra += 8 * sigma
+        return extra
