@@ -33,7 +33,6 @@ from typing import Optional, Sequence
 from repro.analysis.report import render_table
 from repro.core.baselines import lpt_schedule, multifit_schedule
 from repro.core.instance import Instance, uniform_instance
-from repro.core.ptas import ptas_schedule
 from repro.core.rounding import round_instance
 
 #: Process exit codes — one per failure class, so scripts and CI can
@@ -428,8 +427,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         )
     else:
         executor = default_executor(solver, resilience=resilience)
+    from repro.service.pipeline import schedule_request
+
     try:
-        result = ptas_schedule(
+        # The request paths' answer (certify at LB, then the best
+        # polished schedule), shared with BatchScheduler and the daemon.
+        result = schedule_request(
             inst, eps=args.eps, search=args.search, dp_solver=solver,
             cache=cache, trace=tracer, executor=executor,
         )

@@ -44,18 +44,32 @@ class ImprovementResult:
 def improve_schedule(schedule: Schedule, max_rounds: int = 100) -> ImprovementResult:
     """Polish ``schedule`` with first-improvement move/swap local search.
 
-    Each round scans the critical machines: first tries to *move* one
-    of their jobs to a machine where it lowers the makespan, then tries
-    to *swap* one of their jobs with a smaller job elsewhere.  Stops at
-    a local optimum or after ``max_rounds`` rounds (each round strictly
-    reduces the makespan, so termination is guaranteed anyway).
+    Each round looks at the critical (maximum-load) machine: first it
+    tries to *move* one of its jobs to the least-loaded other machine,
+    then to *swap* one of its jobs with a smaller job elsewhere, taking
+    the first strict gain in job-index order.  A tie for the maximum
+    load admits no strict gain (the other critical machine keeps the
+    makespan), so the search stops there, at a local optimum, or after
+    ``max_rounds`` rounds.  Each round is whole-array: every move off
+    the critical machine is tested as one vector and every swap as one
+    (its jobs x the other jobs) matrix.
+
+    Identical machines only: the neighbourhood reasons about raw loads,
+    which are completion times only on identical machines, and it
+    ignores job-count caps.  Other models raise
+    :class:`~repro.errors.InvalidInstanceError`.
     """
     if max_rounds < 1:
         raise InvalidInstanceError(f"max_rounds must be >= 1, got {max_rounds}")
     inst = schedule.instance
+    if inst.model != "identical":
+        raise InvalidInstanceError(
+            f"improve_schedule polishes identical machines only, got model "
+            f"{inst.model!r}: its loads are not that model's completion times"
+        )
     times = inst.times_array()
-    assignment = np.asarray(schedule.assignment, dtype=np.int64).copy()
-    loads = schedule.loads().copy()
+    assignment = np.asarray(schedule.assignment, dtype=np.int64)
+    loads = schedule.loads()
 
     moves = swaps = rounds = 0
     initial = int(loads.max())
@@ -64,63 +78,54 @@ def improve_schedule(schedule: Schedule, max_rounds: int = 100) -> ImprovementRe
         rounds += 1
         makespan = int(loads.max())
         critical = np.flatnonzero(loads == makespan)
-        improved = False
-
-        for machine in critical:
-            jobs_here = np.flatnonzero(assignment == machine)
-            # Try moving any job to the machine where it hurts least.
-            for j in jobs_here:
-                t = int(times[j])
-                dest_loads = loads + t
-                dest_loads[machine] = loads[machine]  # exclude self
-                dest = int(np.argmin(dest_loads))
-                if dest == machine:
-                    continue
-                new_peak = max(
-                    int(loads[dest]) + t,
-                    _max_excluding(loads, machine, dest, loads[machine] - t),
-                )
-                if new_peak < makespan:
-                    assignment[j] = dest
-                    loads[machine] -= t
-                    loads[dest] += t
-                    moves += 1
-                    improved = True
-                    break
-            if improved:
-                break
-            # Try swapping a critical job with a smaller one elsewhere.
-            for j in jobs_here:
-                tj = int(times[j])
-                others = np.flatnonzero(assignment != machine)
-                for o in others:
-                    to = int(times[o])
-                    if to >= tj:
-                        continue
-                    other_machine = int(assignment[o])
-                    new_here = int(loads[machine]) - tj + to
-                    new_there = int(loads[other_machine]) - to + tj
-                    new_peak = max(
-                        new_here,
-                        new_there,
-                        _max_excluding(loads, machine, other_machine, 0),
-                    )
-                    if new_peak < makespan:
-                        assignment[j] = other_machine
-                        assignment[o] = machine
-                        loads[machine] = new_here
-                        loads[other_machine] = new_there
-                        swaps += 1
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
-        if not improved:
+        if critical.size != 1 or inst.machines == 1:
             break
+        machine = int(critical[0])
+        # rest[k]: the highest load apart from ``machine`` and ``k``
+        # (at least 0) -- the peak a move or swap onto ``k`` leaves.
+        others = loads.copy()
+        others[machine] = 0
+        top = int(np.argmax(others))
+        rest = np.full(inst.machines, others[top])
+        others[top] = 0
+        rest[top] = others.max()
 
-    polished = Schedule(inst, tuple(int(a) for a in assignment))
+        on_machine = assignment == machine
+        here = np.flatnonzero(on_machine)
+        t_here = times[here]
+        # Move: the least-loaded machine (never the unique critical
+        # one) is every job's best home.
+        dest = int(np.argmin(loads))
+        peak = np.maximum(
+            loads[dest] + t_here, np.maximum(makespan - t_here, rest[dest])
+        )
+        hits = np.flatnonzero(peak < makespan)
+        if hits.size:
+            j, t = int(here[hits[0]]), int(t_here[hits[0]])
+            assignment[j] = dest
+            loads[machine] -= t
+            loads[dest] += t
+            moves += 1
+            continue
+        # Swap: one critical job against a smaller job elsewhere.
+        there = np.flatnonzero(~on_machine)
+        to_machine = assignment[there]
+        delta = t_here[:, None] - times[there][None, :]
+        new_here = makespan - delta
+        new_there = loads[to_machine][None, :] + delta
+        peak = np.maximum(np.maximum(new_here, new_there), rest[to_machine][None, :])
+        hit = (delta > 0) & (peak < makespan)
+        if not hit.any():
+            break
+        row, col = divmod(int(np.argmax(hit)), there.size)
+        j, o, other = int(here[row]), int(there[col]), int(to_machine[col])
+        assignment[j] = other
+        assignment[o] = machine
+        loads[machine] = new_here[row, col]
+        loads[other] = new_there[row, col]
+        swaps += 1
+
+    polished = Schedule(inst, tuple(assignment.tolist()))
     if polished.makespan > initial:
         raise InvalidInstanceError("internal error: local search made things worse")
     return ImprovementResult(
@@ -130,12 +135,3 @@ def improve_schedule(schedule: Schedule, max_rounds: int = 100) -> ImprovementRe
         swaps=swaps,
         rounds=rounds,
     )
-
-
-def _max_excluding(loads: np.ndarray, a: int, b: int, floor: int) -> int:
-    """Max load over machines other than ``a`` and ``b`` (at least ``floor``)."""
-    best = int(floor)
-    for i, load in enumerate(loads):
-        if i != a and i != b and int(load) > best:
-            best = int(load)
-    return best

@@ -21,40 +21,34 @@ open-loop Poisson load harness behind ``python -m repro serve`` and
 ``benchmarks/test_bench_service.py``.
 """
 
-from repro.service.batch import (
-    BatchReport,
-    BatchRequest,
-    BatchRequestResult,
-    BatchScheduler,
-)
-from repro.service.daemon import (
-    BoundResult,
-    Priority,
-    SchedulingService,
-    ServiceHandle,
-)
-from repro.service.loadgen import (
-    Arrival,
-    LoadProfile,
-    LoadReport,
-    generate_arrivals,
-    run_load,
-)
-from repro.service.pipeline import ProbePipeline
+from importlib import import_module
 
-__all__ = [
-    "BatchScheduler",
-    "BatchRequest",
-    "BatchRequestResult",
-    "BatchReport",
-    "BoundResult",
-    "Priority",
-    "ProbePipeline",
-    "SchedulingService",
-    "ServiceHandle",
-    "Arrival",
-    "LoadProfile",
-    "LoadReport",
-    "generate_arrivals",
-    "run_load",
-]
+#: public name -> the submodule defining it.  Imported on first use, so
+#: loading one submodule (CLI ``schedule`` needs only the pipeline)
+#: does not pull in the daemon's asyncio stack.
+_EXPORTS = {
+    "BatchScheduler": "batch",
+    "BatchRequest": "batch",
+    "BatchRequestResult": "batch",
+    "BatchReport": "batch",
+    "BoundResult": "daemon",
+    "Priority": "daemon",
+    "SchedulingService": "daemon",
+    "ServiceHandle": "daemon",
+    "Arrival": "loadgen",
+    "LoadProfile": "loadgen",
+    "LoadReport": "loadgen",
+    "generate_arrivals": "loadgen",
+    "run_load": "loadgen",
+    "ProbePipeline": "pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"repro.service.{module}"), name)

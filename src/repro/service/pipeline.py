@@ -4,12 +4,14 @@ Both service front-ends — the one-shot :class:`~repro.service.batch.
 BatchScheduler` and the always-on :class:`~repro.service.daemon.
 SchedulingService` — execute requests exactly the same way: resolve a
 fresh solver from the registry, wire it to the shared probe/plan
-caches and the resilience policy, run the PTAS under a per-request
-tracer, and degrade to a bounded LPT/MULTIFIT baseline when every
-backend fails.  :class:`ProbePipeline` is that shared engine-room,
-extracted so the two front-ends cannot drift: a request coalesced by
-the daemon and the same request in a batch produce bit-identical
-results because they literally run the same code.
+caches and the resilience policy, run :func:`schedule_request` under
+a per-request tracer, and degrade to a bounded LPT/MULTIFIT baseline
+when every backend fails.  :class:`ProbePipeline` is that shared
+engine-room, extracted so the two front-ends cannot drift: a request
+coalesced by the daemon and the same request in a batch produce
+bit-identical results because they literally run the same code.  CLI
+``schedule`` calls :func:`schedule_request` too, so all three front
+doors answer alike.
 
 The pipeline is synchronous and thread-safe — the batch scheduler
 calls it from a thread pool, the daemon from ``run_in_executor``
@@ -21,16 +23,21 @@ concurrent callers.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.backends import get_spec, resolve
 from repro.core.baselines import best_baseline
-from repro.core.executor import default_executor
+from repro.core.bounds import makespan_bounds
+from repro.core.executor import ProbeExecutor, SequentialExecutor, default_executor
+from repro.core.improve import improve_schedule
+from repro.core.instance import Instance
 from repro.core.probe_cache import PlanCache, ProbeCache
-from repro.core.ptas import ptas_schedule
-from repro.errors import BackendError, ReproError
-from repro.observability import Tracer
+from repro.core.ptas import DPSolver, PtasResult, ptas_schedule
+from repro.errors import BackendError, InvalidInstanceError, ReproError
+from repro.observability import Tracer, TraceSink, as_tracer
+from repro.observability import context as obs
 from repro.resilience import (
     AdmissionController,
     FaultInjector,
@@ -40,6 +47,73 @@ from repro.resilience import (
 
 if TYPE_CHECKING:
     from repro.service.batch import BatchRequest, BatchRequestResult
+
+
+def schedule_request(
+    instance: Instance,
+    eps: float,
+    dp_solver: DPSolver,
+    search: str,
+    cache: Optional[ProbeCache] = None,
+    trace: Optional[Union[Tracer, TraceSink]] = None,
+    executor: Optional[ProbeExecutor] = None,
+) -> PtasResult:
+    """Answer one scheduling request: certify at ``LB`` first, then polish.
+
+    The request paths' version of
+    :func:`~repro.core.ptas.ptas_schedule` (which stays the paper's
+    Algorithms 1 and 3 verbatim).  One probe at the lower bound ``LB``
+    runs first, through the caller's executor, cache and tracer:
+
+    * if it accepts, it is the whole search: ``final_target = LB`` and
+      the schedule is within ``(1 + eps) * LB <= (1 + eps) * OPT``;
+    * if it rejects, the configured ``search`` runs unchanged over
+      ``[LB, UB]`` and the rejected probe is put in front of its
+      probes.
+
+    Either way the served schedule is the better of the PTAS schedule
+    and :func:`~repro.core.baselines.best_baseline` (ties keep the
+    PTAS one), polished by
+    :func:`~repro.core.improve.improve_schedule` on identical machines.
+    It is never worse than the PTAS schedule, so it stays within
+    ``guarantee_bound()``.
+    """
+    if search not in ("bisection", "quarter"):
+        raise InvalidInstanceError(f"unknown search strategy {search!r}")
+    tracer = as_tracer(trace)
+    executor = executor if executor is not None else SequentialExecutor()
+    lower = makespan_bounds(instance).lower
+    with tracer.activate() if tracer is not None else nullcontext():
+        obs.count("search.iterations")
+        probe = executor.run_round(instance, [lower], eps, dp_solver, cache=cache)[0]
+    if probe.accepted:
+        result = PtasResult(
+            schedule=probe.schedule,
+            eps=eps,
+            iterations=1,
+            probes=[probe],
+            final_target=lower,
+        )
+    else:
+        # Through this module's own name, so a patched search (the
+        # benchmark's traced run) sees the call.
+        result = ptas_schedule(
+            instance,
+            eps=eps,
+            dp_solver=dp_solver,
+            search=search,
+            cache=cache,
+            trace=tracer,
+            executor=executor,
+        )
+        result.iterations += 1
+        result.probes.insert(0, probe)
+    baseline = best_baseline(instance)[0]
+    if baseline.makespan < result.schedule.makespan:
+        result.schedule = baseline
+    if instance.model == "identical":
+        result.schedule = improve_schedule(result.schedule).schedule
+    return result
 
 
 def require_schedule_capable(name: str):
@@ -163,7 +237,7 @@ class ProbePipeline:
         tracer = Tracer()
         start = time.perf_counter()
         try:
-            result = ptas_schedule(
+            result = schedule_request(
                 request.instance,
                 eps=request.eps,
                 dp_solver=solver,

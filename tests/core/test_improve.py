@@ -1,15 +1,99 @@
 """Tests for the local-search schedule polish."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.baselines import best_baseline, lpt_schedule
 from repro.core.baselines.exact import branch_and_bound_optimal
 from repro.core.improve import improve_schedule
 from repro.core.instance import Instance, uniform_instance
 from repro.core.ptas import ptas_schedule
 from repro.core.schedule import Schedule
 from repro.errors import InvalidInstanceError
+from repro.models import with_model
+
+
+def oracle_improve(schedule, max_rounds=100):
+    """The per-job scalar move/swap loop the whole-array polish replaced.
+
+    Kept verbatim as the reference: ``(assignment, moves, swaps,
+    rounds)`` of :func:`improve_schedule` must equal this loop's.
+    """
+    times = schedule.instance.times_array()
+    assignment = np.asarray(schedule.assignment, dtype=np.int64).copy()
+    loads = schedule.loads().copy()
+
+    def max_excluding(a, b, floor):
+        best = int(floor)
+        for i, load in enumerate(loads):
+            if i != a and i != b and int(load) > best:
+                best = int(load)
+        return best
+
+    moves = swaps = rounds = 0
+    for _ in range(max_rounds):
+        rounds += 1
+        makespan = int(loads.max())
+        critical = np.flatnonzero(loads == makespan)
+        improved = False
+        for machine in critical:
+            jobs_here = np.flatnonzero(assignment == machine)
+            for j in jobs_here:
+                t = int(times[j])
+                dest_loads = loads + t
+                dest_loads[machine] = loads[machine]
+                dest = int(np.argmin(dest_loads))
+                if dest == machine:
+                    continue
+                new_peak = max(
+                    int(loads[dest]) + t,
+                    max_excluding(machine, dest, loads[machine] - t),
+                )
+                if new_peak < makespan:
+                    assignment[j] = dest
+                    loads[machine] -= t
+                    loads[dest] += t
+                    moves += 1
+                    improved = True
+                    break
+            if improved:
+                break
+            for j in jobs_here:
+                tj = int(times[j])
+                others = np.flatnonzero(assignment != machine)
+                for o in others:
+                    to = int(times[o])
+                    if to >= tj:
+                        continue
+                    other_machine = int(assignment[o])
+                    new_here = int(loads[machine]) - tj + to
+                    new_there = int(loads[other_machine]) - to + tj
+                    new_peak = max(
+                        new_here, new_there, max_excluding(machine, other_machine, 0)
+                    )
+                    if new_peak < makespan:
+                        assignment[j] = other_machine
+                        assignment[o] = machine
+                        loads[machine] = new_here
+                        loads[other_machine] = new_there
+                        swaps += 1
+                        improved = True
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return tuple(int(a) for a in assignment), moves, swaps, rounds
+
+
+def assert_matches_oracle(schedule, max_rounds=100):
+    result = improve_schedule(schedule, max_rounds=max_rounds)
+    got = (result.schedule.assignment, result.moves, result.swaps, result.rounds)
+    assert got == oracle_improve(schedule, max_rounds=max_rounds)
 
 
 class TestImproveSchedule:
@@ -88,3 +172,60 @@ def test_improvement_invariants_property(times, machines, data):
     assert result.schedule.makespan <= start.makespan
     assert result.schedule.loads().sum() == inst.total_time
     assert result.improvement == start.makespan - result.schedule.makespan
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=150)
+@given(
+    times=st.lists(st.integers(1, 30), min_size=1, max_size=14).map(tuple),
+    machines=st.integers(1, 5),
+    max_rounds=st.integers(1, 6) | st.just(100),
+    data=st.data(),
+)
+def test_matches_scalar_oracle_on_arbitrary_schedules(times, machines, max_rounds, data):
+    inst = Instance(times=times, machines=machines)
+    assignment = tuple(
+        data.draw(st.integers(0, machines - 1)) for _ in range(len(times))
+    )
+    assert_matches_oracle(Schedule(inst, assignment), max_rounds=max_rounds)
+
+
+class TestOracleOnServedShapes:
+    """The schedules the request paths polish: PTAS and baseline answers."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_serve_open_shape(self, seed):
+        inst = uniform_instance(30, 5, low=5, high=100, seed=700 + seed)
+        assert_matches_oracle(ptas_schedule(inst, eps=0.3).schedule)
+        assert_matches_oracle(best_baseline(inst)[0])
+
+    @pytest.mark.parametrize("n,m", [(20, 4), (40, 6), (60, 8)])
+    def test_batch_decision_shapes(self, n, m):
+        for seed in range(3):
+            inst = uniform_instance(n, m, low=5, high=100, seed=800 + seed)
+            assert_matches_oracle(lpt_schedule(inst))
+            # A deliberately poor start exercises long move/swap chains.
+            stacked = Schedule(inst, tuple(j % 2 for j in range(n)))
+            assert_matches_oracle(stacked)
+
+
+class TestIdenticalMachinesOnly:
+    """Loads are completion times only on identical machines."""
+
+    def test_rejects_few_types(self):
+        inst = with_model(
+            uniform_instance(12, 4, low=5, high=60, seed=1),
+            "unrelated-few-types",
+            type_speeds=(1, 2),
+            machines_per_type=(2, 2),
+        )
+        with pytest.raises(InvalidInstanceError, match="identical machines only"):
+            improve_schedule(best_baseline(inst)[0])
+
+    def test_rejects_time_restricted(self):
+        inst = with_model(
+            uniform_instance(12, 4, low=5, high=60, seed=2),
+            "time-restricted",
+            max_jobs_per_machine=4,
+        )
+        with pytest.raises(InvalidInstanceError, match="identical machines only"):
+            improve_schedule(best_baseline(inst)[0])

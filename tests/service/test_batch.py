@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import uniform_instance
 from repro.core.probe_cache import ProbeCache
 from repro.core.ptas import ptas_schedule
 from repro.errors import BackendError, InvalidInstanceError
 from repro.service import BatchReport, BatchRequest, BatchScheduler
+from repro.service.pipeline import schedule_request
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +45,18 @@ class TestDeterminism:
             assert counts(other) == counts(base)
 
     def test_matches_sequential_ptas_schedule(self, fleet):
+        # The batch answers each request with schedule_request (certify
+        # at LB, then the best polished schedule); a sequential call of
+        # it must agree, and its certificate is never looser than the
+        # paper's search.
         report = BatchScheduler(workers=3).run(fleet)
         for inst, req_result in zip(fleet, report.results):
-            solo = ptas_schedule(inst, eps=0.3, search="quarter")
+            solo = schedule_request(inst, 0.3, dp_vectorized, "quarter")
             assert req_result.makespan == solo.makespan
             assert req_result.result.final_target == solo.final_target
             assert req_result.result.iterations == solo.iterations
+            paper = ptas_schedule(inst, eps=0.3, search="quarter")
+            assert solo.final_target <= paper.final_target
 
     def test_shared_cache_does_not_change_results(self, fleet):
         cached = BatchScheduler(workers=4).run(fleet)
@@ -64,16 +72,19 @@ class TestDeterminism:
 
 class TestSharedCache:
     def test_cache_stats_aggregate_across_requests(self, fleet):
+        # Each instance twice: a request certified by its one LB probe
+        # shares no table with a different instance, but its repeat
+        # must reuse everything.
         scheduler = BatchScheduler(workers=2)
-        report = scheduler.run(fleet)
+        report = scheduler.run(fleet + fleet)
         stats = report.cache_stats
         assert stats is not None
         # Every DP fill of the batch goes through the shared cache, so
         # lookups must cover the batch's probes.
         dp_lookups = stats.hits.get("dp", 0) + stats.misses.get("dp", 0)
         assert dp_lookups >= report.total_probes
-        # Overlapping geometry across requests must produce actual
-        # sharing — the reason the service exists.
+        # Overlapping requests must produce actual sharing — the
+        # reason the service exists.
         assert stats.total_hits > 0
 
     def test_cache_disabled_reports_no_stats(self, fleet):
@@ -93,9 +104,10 @@ class TestSharedPlanCache:
     def test_plan_aware_backend_reports_plan_stats(self, fleet):
         # Probe caching off so every probe reaches the engine: with it
         # on, DP-table hits short-circuit the solver and the plan cache
-        # only sees the residual misses.
+        # only sees the residual misses.  Each instance runs twice, so
+        # the batch's requests overlap even when one LB probe answers.
         scheduler = BatchScheduler(backend="serial", workers=2, cache=None)
-        report = scheduler.run(fleet)
+        report = scheduler.run(fleet + fleet)
         stats = report.plan_cache_stats
         assert stats is not None
         assert stats.hits.get("plan", 0) > 0  # probes overlap across requests
@@ -122,9 +134,11 @@ class TestSharedPlanCache:
     def test_plan_sharing_does_not_change_results(self, fleet):
         shared = BatchScheduler(backend="serial", workers=3).run(fleet)
         for inst, req_result in zip(fleet, shared.results):
-            solo = ptas_schedule(inst, eps=0.3, search="quarter")
+            solo = schedule_request(inst, 0.3, dp_vectorized, "quarter")
             assert req_result.makespan == solo.makespan
             assert req_result.result.final_target == solo.final_target
+            paper = ptas_schedule(inst, eps=0.3, search="quarter")
+            assert solo.final_target <= paper.final_target
 
 
 class TestReport:

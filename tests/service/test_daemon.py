@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.core.baselines import lpt_schedule, multifit_schedule
+from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import uniform_instance
 from repro.core.ptas import ptas_schedule
 from repro.errors import (
@@ -27,6 +28,7 @@ from repro.service import (
     Priority,
     SchedulingService,
 )
+from repro.service.pipeline import schedule_request
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +96,12 @@ class TestStreaming:
         best = min(lpt_schedule(inst).makespan, multifit_schedule(inst).makespan)
         assert bound.makespan == best
         assert bound.bound > 1.0  # a proven ratio, not a guess
-        # The refined stage is the full PTAS answer with its own
-        # (1+eps) guarantee.  Note it may occasionally be *worse* than
-        # the bound stage at coarse eps (1.3 > 13/11); each stage's
-        # guarantee is its own.
+        # The refined stage is the PTAS answer with its own (1+eps)
+        # guarantee, served as the better of it and the baseline, so
+        # it never loses to the bound stage.
         assert not refined.degraded and refined.result is not None
         assert refined.makespan <= refined.result.guarantee_bound()
+        assert refined.makespan <= bound.makespan
 
 
 class TestDeterminism:
@@ -111,10 +113,12 @@ class TestDeterminism:
 
         results = asyncio.run(scenario())
         for inst, res in zip(fleet, results):
-            solo = ptas_schedule(inst, eps=0.3, search="quarter")
+            solo = schedule_request(inst, 0.3, dp_vectorized, "quarter")
             assert res.makespan == solo.makespan
             assert res.result.final_target == solo.final_target
             assert res.result.iterations == solo.iterations
+            paper = ptas_schedule(inst, eps=0.3, search="quarter")
+            assert solo.final_target <= paper.final_target
 
     def test_request_overrides_respected(self, fleet):
         async def scenario():
@@ -127,8 +131,11 @@ class TestDeterminism:
         res = asyncio.run(scenario())
         assert res.name == "custom"
         assert res.request.search == "bisection"
-        solo = ptas_schedule(fleet[0], eps=0.5, search="bisection")
+        solo = schedule_request(fleet[0], 0.5, dp_vectorized, "bisection")
         assert res.makespan == solo.makespan
+        assert res.result.final_target == solo.final_target
+        paper = ptas_schedule(fleet[0], eps=0.5, search="bisection")
+        assert solo.final_target <= paper.final_target
 
 
 class TestPriorities:
