@@ -5,15 +5,16 @@ thousands of cells), emitting ``benchmarks/results/BENCH_dp_kernels.json``:
 
 * **probe microbench** — per-kernel fill time at targets across the
   deadline band ``[0.4 * LB, final]``, split by outcome.  Rejected
-  probes are where decision mode pays: the clamp plus the O(1)
-  load-bound reject stop them without an exact fill (asserted >= 2x
-  median speedup vs :func:`~repro.core.dp_vectorized.dp_vectorized`).
+  probes are where decision mode pays: the clamp
+  (``dp_vectorized(machines=m)``) plus the O(1) load-bound reject stop
+  them without an exact fill (asserted >= 2x median speedup vs the
+  exact :func:`~repro.core.dp_vectorized.dp_vectorized`).
 * **end-to-end** — full ``ptas_schedule`` wall time with the ``auto``
   backend vs the *seed kernel* (the pre-suite production fill, vendored
   below: int64 tables, per-round slice construction, per-probe argsort).
   Asserted >= 1.3x median speedup at full scale, with bit-identical
-  final makespans across every kernel (vectorized / decision / sweep /
-  auto / seed).
+  final makespans across every kernel (vectorized / sweep / auto /
+  seed; ``auto`` is the one that runs the clamped decision fill).
 
 Run: ``pytest benchmarks/test_bench_dp_kernels.py --benchmark-only``
 (``REPRO_BENCH_FULL=1`` for the paper-scale workload; the reduced CI
@@ -35,7 +36,6 @@ from repro.core.bounds import makespan_bounds
 from repro.core.dp_common import DPResult, UNREACHABLE, empty_dp_result
 from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import uniform_instance
-from repro.core.kernels import dp_decision
 from repro.core.probe_cache import PlanCache
 from repro.core.ptas import ptas_schedule
 from repro.core.rounding import round_instance
@@ -138,12 +138,12 @@ def test_rejected_probe_speedup(benchmark, results_dir, full):
             vec = dp_vectorized(
                 rounded.counts, rounded.class_sizes, rounded.target, configs
             )
-            dec = dp_decision(
+            dec = dp_vectorized(
                 rounded.counts,
                 rounded.class_sizes,
                 rounded.target,
-                machines=machines,
                 configs=configs,
+                machines=machines,
             )
             rejected = vec.opt > machines
             assert dec.decided_infeasible == rejected, target
@@ -156,12 +156,12 @@ def test_rejected_probe_speedup(benchmark, results_dir, full):
                 repeats=1 if full else 2,
             )
             dec_s = _time_fill(
-                lambda: dp_decision(
+                lambda: dp_vectorized(
                     rounded.counts,
                     rounded.class_sizes,
                     rounded.target,
-                    machines=machines,
                     configs=configs,
+                    machines=machines,
                 ),
                 repeats=3,
             )
@@ -257,7 +257,7 @@ def test_end_to_end_auto_speedup(benchmark, results_dir, full):
             seed_s = min(seed_s, time.perf_counter() - start)
         per_kernel = {"auto": auto_s, "seed": seed_s}
         makespans = {"auto": auto_res.makespan, "seed": seed_res.makespan}
-        for name in ("vectorized", "decision", "sweep"):
+        for name in ("vectorized", "sweep"):
             start = time.perf_counter()
             res = ptas_schedule(inst, eps=eps, dp_solver=resolve(name))
             per_kernel[name] = time.perf_counter() - start

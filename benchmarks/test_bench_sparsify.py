@@ -1,7 +1,7 @@
 """Sparsification benchmark: dominance pruning + warm starts end to end.
 
 Drives the quarter-split PTAS at the accuracy where the configuration
-lattice is large (``eps=0.1``) on the decision kernel, twice per
+lattice is large (``eps=0.1``) on the ``auto`` kernel, twice per
 instance (quarter rounds probe ascending targets, so later probes of a
 round find smaller-budget tables to warm-seed from):
 
@@ -36,7 +36,7 @@ import statistics
 import pytest
 
 from repro.core.instance import uniform_instance
-from repro.core.kernels.decision import DecisionKernel
+from repro.core.kernels import AutoKernel
 from repro.core.probe_cache import NullPlanCache, PlanCache, ProbeCache
 from repro.core.ptas import ptas_schedule
 from repro.observability import Tracer
@@ -60,7 +60,8 @@ def _run(inst, sparsify: bool, warm: bool):
     """One full PTAS run; returns ``(result, seconds, tracer)``."""
     tracer = Tracer()
     cache = ProbeCache(warm_start=warm)
-    kernel = DecisionKernel(machines=inst.machines, sparsify=sparsify)
+    # A fresh plan cache per run: neither arm inherits the other's plans.
+    kernel = AutoKernel(plan_cache=PlanCache(), sparsify=sparsify)
     with tracer.activate():
         with Timer() as timer:
             result = ptas_schedule(
@@ -158,7 +159,7 @@ def test_sparsify_speedup(benchmark, results_dir, full):
             "instances": len(instances),
             "eps": EPS,
             "search": "quarter",
-            "backend": "decision (sparsify + warm-start vs dense cold)",
+            "backend": "auto (sparsify + warm-start vs dense cold)",
         },
         "per_instance": [
             {

@@ -8,20 +8,13 @@ Pure solvers (``simulated=False`` — real wall-clock work, no modelled
 hardware):
 
 * ``"vectorized"`` — :func:`~repro.core.dp_vectorized.dp_vectorized`,
-  the exact relaxation fill.
+  the exact relaxation fill (its ``machines=`` clamp is what ``auto``
+  runs for budget-bound probes).
 * ``"auto"`` — :class:`~repro.core.kernels.AutoKernel`, cost-model
   kernel selection per probe (the recommended production default;
   used by :class:`~repro.service.batch.BatchScheduler`).
-* ``"decision"`` — :class:`~repro.core.kernels.DecisionKernel`, the
-  clamped decision-mode fill (early exit at the machine budget).
 * ``"sweep"`` — :class:`~repro.core.kernels.SweepKernel`, the
   plan-driven single-sweep fill (one pass per anti-diagonal level).
-* ``"frontier"`` — :func:`~repro.core.dp_frontier.dp_frontier_checked`,
-  the frontier sweep cross-checked against the dense fill on every
-  probe (a validation backend; probes need the dense table anyway).
-* ``"frontier-decision"`` — :class:`~repro.core.kernels.FrontierDecisionKernel`,
-  the *decision-only* frontier sweep: answers feasibility with no
-  table at all (``decision_only=True``; cannot produce schedules).
 * ``"reference"`` — :func:`~repro.core.dp_reference.dp_reference`,
   the slow, obviously-correct oracle.
 * ``"fallback"`` — :class:`~repro.resilience.FallbackChain` over
@@ -59,15 +52,9 @@ from repro.backends.registry import (
     register_family,
     resolve,
 )
-from repro.core.dp_frontier import dp_frontier_checked
 from repro.core.dp_reference import dp_reference
 from repro.core.dp_vectorized import dp_vectorized
-from repro.core.kernels import (
-    AutoKernel,
-    DecisionKernel,
-    FrontierDecisionKernel,
-    SweepKernel,
-)
+from repro.core.kernels import AutoKernel, SweepKernel
 from repro.engines.gpu_naive import GpuNaiveEngine
 from repro.engines.gpu_partitioned import GpuPartitionedEngine
 from repro.engines.hybrid import HybridEngine
@@ -108,34 +95,12 @@ def _register_defaults() -> None:
     )
     register(
         BackendSpec(
-            name="frontier",
-            factory=_solver_factory(dp_frontier_checked),
-            simulated=False,
-            concurrency="none",
-            description="frontier sweep cross-checked against the dense fill",
-            aliases=("dp-frontier",),
-        )
-    )
-    register(
-        BackendSpec(
             name="reference",
             factory=_solver_factory(dp_reference),
             simulated=False,
             concurrency="none",
             description="reference DP oracle (slow, obviously correct)",
             aliases=("dp-reference",),
-        )
-    )
-    register(
-        BackendSpec(
-            name="decision",
-            factory=DecisionKernel,
-            simulated=False,
-            concurrency="none",
-            description="clamped decision-mode DP (early exit at the machine budget)",
-            aliases=("dp-decision",),
-            plan_aware=True,
-            sparsify_aware=True,
         )
     )
     register(
@@ -163,21 +128,6 @@ def _register_defaults() -> None:
             aliases=("kernel-auto",),
             plan_aware=True,
             sparsify_aware=True,
-        )
-    )
-    register(
-        BackendSpec(
-            name="frontier-decision",
-            factory=FrontierDecisionKernel,
-            simulated=False,
-            concurrency="none",
-            description="decision-only frontier sweep (no table, no schedules)",
-            aliases=("decision-frontier",),
-            decision_only=True,
-            # The windowed sweep answers feasibility from the root cell
-            # only; the few-types composition needs every cell of each
-            # per-type table, so this backend cannot serve that model.
-            models=("identical", "time-restricted"),
         )
     )
     register(

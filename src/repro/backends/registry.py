@@ -2,7 +2,7 @@
 
 A *backend* is anything satisfying the
 :class:`~repro.core.ptas.DPSolver` protocol — the pure in-process
-solvers (``dp_vectorized``, ``dp_frontier``, ``dp_reference``) and the
+solvers (``dp_vectorized``, the kernels, ``dp_reference``) and the
 five simulator engines (serial, OpenMP, naive GPU, partitioned GPU,
 hybrid).  Before this registry existed every call site constructed its
 backend inline (the CLI hard-coded one list, the runner another, each
@@ -63,32 +63,12 @@ class BackendSpec:
     #: :class:`~repro.core.probe_cache.PlanCache`).  The batch service
     #: and the runners use this to inject a shared plan cache.
     plan_aware: bool = False
-    #: True when the backend only answers the feasibility predicate
-    #: ``OPT(N) <= m`` and produces no backtrackable table — schedule
-    #: extraction is impossible by construction.  The runners and the
-    #: batch service refuse such backends up front with a clear
-    #: :class:`~repro.errors.BackendError`; a direct extraction attempt
-    #: fails loudly inside the result object itself.
-    decision_only: bool = False
     #: True when the factory accepts a ``sparsify=`` keyword — the
     #: backend can fill over the dominance-pruned configuration set
     #: (:mod:`repro.core.sparsify`) with unchanged results.  The
     #: service pipeline and the CLI use this to honour
     #: ``--no-sparsify`` and the per-request knob.
     sparsify_aware: bool = False
-    #: machine-model names (see :mod:`repro.models`) this backend can
-    #: serve.  Default: every registered model — a backend restricts
-    #: this only when its solver cannot honour a model's fill contract
-    #: (e.g. the checked frontier backend's windowed sweep assumes the
-    #: full unfiltered configuration lattice, which the few-types
-    #: composition fills violate).  The service pipeline and the CLI
-    #: refuse a (model, backend) pair up front when the model is not
-    #: listed here.
-    models: Tuple[str, ...] = (
-        "identical",
-        "unrelated-few-types",
-        "time-restricted",
-    )
 
     def __post_init__(self) -> None:
         if self.concurrency not in CONCURRENCY_MODELS:
@@ -96,10 +76,6 @@ class BackendSpec:
                 f"concurrency must be one of {CONCURRENCY_MODELS}, "
                 f"got {self.concurrency!r}"
             )
-
-    def supports_model(self, model: str) -> bool:
-        """Whether this backend can serve probes for ``model``."""
-        return model in self.models
 
     def create(self, **kwargs: object) -> DPSolver:
         """Build a fresh solver instance (engines) or the solver function."""

@@ -206,9 +206,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", default="vectorized", metavar="NAME",
         help="DP solver backend from the registry (repro.backends): "
              "'vectorized' (default), 'auto' (cost-model kernel "
-             "selection per probe), 'decision', 'sweep', 'frontier', "
-             "'reference', or a simulated engine such as 'serial', "
-             "'omp-28', 'gpu-dim6', 'hybrid'",
+             "selection per probe; clamps large fills at the machine "
+             "budget), 'sweep', 'reference', 'fallback', or a simulated "
+             "engine such as 'serial', 'omp-28', 'gpu-dim6', 'hybrid'",
     )
     p_sched.add_argument(
         "--parallel-probes", type=int, default=None, metavar="N",
@@ -394,13 +394,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
     try:
         spec = get_spec(args.backend)
-        if spec.decision_only:
-            raise BackendError(
-                f"backend {spec.name!r} is decision-only: it answers the "
-                "feasibility predicate without a backtrackable table, so "
-                "'schedule' cannot extract a schedule from it — use a "
-                "table-producing backend such as 'auto' or 'vectorized'"
-            )
         resolve_kwargs = {}
         if args.no_sparsify and spec.sparsify_aware:
             resolve_kwargs["sparsify"] = False

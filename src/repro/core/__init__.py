@@ -9,6 +9,11 @@ Public surface re-exported here:
   (Algorithm 1), parameterised by DP engine and bisection strategy.
 * :func:`~repro.core.quarter_split.quarter_split_search` — the paper's
   four-segment bisection (Algorithm 3).
+* :func:`~repro.core.dp_vectorized.dp_vectorized` — the DP fill
+  (Equation 1): exact, or clamped at ``m + 1`` with ``machines=m`` for
+  the decision predicate; :func:`~repro.core.dp_reference.dp_reference`
+  is its oracle and :class:`~repro.core.kernels.AutoKernel` the
+  per-probe router.
 * Baselines: :func:`~repro.core.baselines.lpt.lpt_schedule`,
   :func:`~repro.core.baselines.listsched.list_schedule`,
   :func:`~repro.core.baselines.multifit.multifit_schedule`,
@@ -22,7 +27,6 @@ from repro.core.rounding import RoundedInstance, round_instance
 from repro.core.configs import enumerate_configurations
 from repro.core.dp_reference import dp_reference
 from repro.core.dp_vectorized import dp_vectorized
-from repro.core.dp_frontier import dp_frontier
 from repro.core.improve import improve_schedule
 from repro.core.probe_cache import CacheStats, NullProbeCache, ProbeCache
 from repro.core.ptas import PtasResult, ptas_schedule
@@ -36,11 +40,8 @@ from repro.core.executor import (
 )
 from repro.core.kernels import (
     AutoKernel,
-    DecisionKernel,
-    FrontierDecisionKernel,
     SweepKernel,
     choose_kernel,
-    dp_decision,
     dp_levelsweep,
 )
 
@@ -54,7 +55,6 @@ __all__ = [
     "enumerate_configurations",
     "dp_reference",
     "dp_vectorized",
-    "dp_frontier",
     "improve_schedule",
     "ProbeCache",
     "NullProbeCache",
@@ -68,10 +68,7 @@ __all__ = [
     "ConcurrentDeviceExecutor",
     "ParallelHostExecutor",
     "AutoKernel",
-    "DecisionKernel",
-    "FrontierDecisionKernel",
     "SweepKernel",
     "choose_kernel",
-    "dp_decision",
     "dp_levelsweep",
 ]

@@ -117,7 +117,8 @@ class DPResult:
         ``C``), in the library's canonical lexicographic order.
     clamp:
         ``None`` for an exact fill.  For a decision-mode fill
-        (:func:`repro.core.kernels.dp_decision`) the saturation value
+        (:func:`~repro.core.dp_vectorized.dp_vectorized` with
+        ``machines=``) the saturation value
         ``machines + 1``: every cell whose true ``OPT`` is at least
         ``clamp`` — including unreachable cells — holds exactly
         ``clamp``, while values below it are exact.  Such a table

@@ -19,7 +19,9 @@ in-place updates propagate within a round); each round costs
 following the vectorization idiom of the HPC guides.
 
 The result is bit-identical to :func:`repro.core.dp_reference.dp_reference`
-(tested), at orders of magnitude higher throughput.
+(tested), at orders of magnitude higher throughput.  With a machine
+budget the same loop runs *clamped* at ``m + 1`` — the decision fill
+the bisection predicate needs (see :func:`dp_vectorized`).
 """
 
 from __future__ import annotations
@@ -166,14 +168,16 @@ def dp_vectorized(
     sparse_configs: np.ndarray | None = None,
     sparse_shifts: tuple | None = None,
     warm_table: np.ndarray | None = None,
+    machines: int | None = None,
 ) -> DPResult:
     """Fill the DP-table by repeated vectorized relaxation.
 
     Parameters mirror :func:`repro.core.dp_reference.dp_reference`.
 
     ``max_rounds`` caps the relaxation loop (defaults to the number of
-    long jobs plus one, the worst-case diameter); reaching the cap
-    without convergence indicates a bug and raises :class:`DPError`.
+    long jobs plus one, the worst-case diameter, or to the clamp plus
+    two when ``machines`` is set); reaching the cap without convergence
+    indicates a bug and raises :class:`DPError`.
 
     ``order`` is an optional precomputed config processing order (the
     :attr:`~repro.dptable.plan.ProbePlan.relaxation_order` of a cached
@@ -203,14 +207,39 @@ def dp_vectorized(
     the fixpoint — and therefore the result — is unchanged, only the
     round count drops.
 
+    ``machines`` turns the fill into the decision fill for
+    ``OPT(N) <= machines`` (Algorithm 1 line 11): the table starts at
+    the clamp ``machines + 1`` instead of the unreachable sentinel, so
+    cells beyond the budget never update and the fixpoint arrives
+    within ``min(OPT*, machines + 1) + 1`` rounds.  The result carries
+    :attr:`~repro.core.dp_common.DPResult.clamp`; values below it are
+    exact, because every stored value is the length of a real
+    configuration chain and after ``r`` rounds every value ``<= r`` is
+    final.  So the fill stops early once the corner holds a value
+    ``<= min(machines, r)``: the backtrack only tests
+    ``table[prev] == current - 1`` below the corner, and those tests
+    pass iff they pass on the exact table — accepted tables extract the
+    exact fill's schedule (tested).  Warm fills skip the early accept
+    (seeded values are upper bounds, not chain lengths).  When the load
+    alone proves the reject (``sum(counts * sizes) > machines * T``)
+    the clamp-initialised table returns unfilled; rejected probes are
+    never backtracked and the probe cache keys clamped tables per
+    budget, so its clamped interior is never read.
+
     The fill runs in the narrowest dtype that holds ``sum(counts)``
-    (usually int16 — a 4x cut in memory traffic per relaxation pass)
-    and is widened to the canonical int64 table at the end, so the
-    result is bit-identical to the historical int64 fill.
+    (or the clamp) — usually int16, a 4x cut in memory traffic per
+    relaxation pass — and is widened to the canonical int64 table at
+    the end, so the result is bit-identical to an int64 fill.
     """
     counts = tuple(int(c) for c in counts)
     if len(counts) != len(class_sizes):
         raise DPError("counts and class_sizes must have equal length")
+    clamp = None
+    if machines is not None:
+        machines = int(machines)
+        if machines < 0:
+            raise DPError(f"machines must be >= 0, got {machines}")
+        clamp = machines + 1
     if len(counts) == 0:
         return empty_dp_result()
     if model_token is not None and configs is None:
@@ -222,24 +251,39 @@ def dp_vectorized(
     if sparse_configs is not None or sparse_shifts is not None:
         sparsify = True
 
-    dtype = pick_table_dtype(sum(counts))
-    unreach = unreachable_for(dtype)
+    kind = "vectorized" if clamp is None else "decision"
+    dtype = pick_table_dtype(sum(counts) if clamp is None else clamp)
     shape = tuple(c + 1 for c in counts)
-    table = np.full(shape, unreach, dtype=dtype)
+    table = np.full(
+        shape, unreachable_for(dtype) if clamp is None else clamp, dtype=dtype
+    )
     table[(0,) * len(counts)] = 0
 
     if configs.shape[0] == 0:
         # No machine can take even one job within T: only the origin is
         # reachable.
-        return DPResult(table=widen_table(table), configs=configs)
+        return DPResult(table=widen_table(table), configs=configs, clamp=clamp)
+
+    if clamp is not None and sum(
+        c * int(s) for c, s in zip(counts, class_sizes)
+    ) > machines * int(target):
+        obs.count("dp.decision.calls")
+        obs.count("dp.decision.load_rejects")
+        obs.count("dp.decision.rejects")
+        return DPResult(table=widen_table(table), configs=configs, clamp=clamp)
 
     warm_init = None
     if warm_table is not None:
-        warm_init = seed_warm_table(table, warm_table)
+        warm_init = seed_warm_table(table, warm_table, cap=clamp)
 
     if max_rounds is None:
-        max_rounds = sum(counts) + 1
+        # The clamped fixpoint arrives within clamp rounds; +2 headroom
+        # for the no-change detection round.
+        max_rounds = (
+            sum(counts) + 1 if clamp is None else min(sum(counts), clamp) + 2
+        )
 
+    views = before = None
     if sparsify:
         if sparse_shifts is None:
             if sparse_configs is None:
@@ -254,38 +298,10 @@ def dp_vectorized(
             sparse_shifts = shift_selectors(
                 shape, sparse_configs, sparse_order
             )
-        scratch = np.empty(table.size, dtype=dtype)
-        mask = np.empty(table.size, dtype=bool)
-        bound = bind_passes(table, sparse_shifts, scratch, mask)
+        shifts = sparse_shifts
         views = closure_views(table)
         before = np.empty(shape, dtype=dtype)
-        rounds = 0
-        passes = 0
-        for _ in range(max_rounds):
-            rounds += 1
-            changed = False
-            for dst, src, cand, improved in bound:
-                np.add(src, 1, out=cand)
-                np.less(cand, dst, out=improved)
-                if improved.any():
-                    np.copyto(dst, cand, where=improved)
-                    changed = True
-            np.copyto(before, table)
-            run_closure_sweeps(views)
-            passes += len(bound)
-            if not changed and np.array_equal(table, before):
-                obs.count("dp.vectorized.calls")
-                obs.count("dp.vectorized.rounds", rounds)
-                obs.count("dp.vectorized.config_passes", passes)
-                if warm_init is not None:
-                    note_warm_convergence(table, warm_init)
-                return DPResult(table=widen_table(table), configs=configs)
-        raise DPError(
-            f"sparse relaxation did not converge within {max_rounds} rounds "
-            f"(shape={shape}, |C_max|={len(sparse_shifts)})"
-        )
-
-    if shifts is None:
+    elif shifts is None:
         if order is None:
             # Larger configurations first: they reach far cells in fewer
             # rounds, accelerating convergence of in-place propagation.
@@ -303,11 +319,10 @@ def dp_vectorized(
     scratch = np.empty(table.size, dtype=dtype)
     mask = np.empty(table.size, dtype=bool)
     bound = bind_passes(table, shifts, scratch, mask)
+    corner = tuple(s - 1 for s in shape)
+    early_accept = clamp is not None and warm_init is None
 
-    rounds = 0
-    passes = 0
-    for _ in range(max_rounds):
-        rounds += 1
+    for rounds in range(1, max_rounds + 1):
         changed = False
         for dst, src, cand, improved in bound:
             np.add(src, 1, out=cand)
@@ -315,18 +330,32 @@ def dp_vectorized(
             if improved.any():
                 np.copyto(dst, cand, where=improved)
                 changed = True
-        passes += len(bound)
+        if views is not None:
+            np.copyto(before, table)
+            run_closure_sweeps(views)
+            changed = changed or not np.array_equal(table, before)
+        if early_accept and table[corner] <= min(machines, rounds):
+            # Every stored value <= rounds is final: so are the corner
+            # and the backtrack chain below it.
+            obs.count("dp.decision.early_accept")
+            break
         if not changed:
-            obs.count("dp.vectorized.calls")
-            obs.count("dp.vectorized.rounds", rounds)
-            obs.count("dp.vectorized.config_passes", passes)
-            if warm_init is not None:
-                note_warm_convergence(table, warm_init)
-            return DPResult(table=widen_table(table), configs=configs)
-    raise DPError(
-        f"relaxation did not converge within {max_rounds} rounds "
-        f"(shape={shape}, |C|={configs.shape[0]})"
-    )
+            break
+    else:
+        raise DPError(
+            f"relaxation did not converge within {max_rounds} rounds "
+            f"(shape={shape}, |passes|={len(bound)}, clamp={clamp})"
+        )
+
+    obs.count(f"dp.{kind}.calls")
+    obs.count(f"dp.{kind}.rounds", rounds)
+    obs.count(f"dp.{kind}.config_passes", rounds * len(bound))
+    if warm_init is not None:
+        note_warm_convergence(table, warm_init)
+    result = DPResult(table=widen_table(table), configs=configs, clamp=clamp)
+    if result.decided_infeasible:
+        obs.count("dp.decision.rejects")
+    return result
 
 
 def dp_vectorized_for(rounded: RoundedInstance, configs: np.ndarray | None = None) -> DPResult:

@@ -1,20 +1,17 @@
-"""repro.core.kernels — interchangeable DP kernels plus the ``auto`` selector.
+"""repro.core.kernels — the level-sweep kernel plus the ``auto`` selector.
 
-The production DP fill used to be one function
-(:func:`~repro.core.dp_vectorized.dp_vectorized`).  This package
-breaks the fill into *kernels* with distinct cost profiles and a cost
-model that routes each probe to the cheapest one:
+The production DP fill is one function,
+:func:`~repro.core.dp_vectorized.dp_vectorized`, whose optional
+``machines=`` clamp turns the exact fill into the decision fill.  This
+package adds a second fill with a different cost profile and a cost
+model that routes each probe to the cheaper one:
 
-* :func:`dp_decision` / :class:`DecisionKernel` — clamped decision
-  fill; rejected probes stop at the budget, accepted probes stop the
-  moment the corner cell is final, schedules stay bit-identical.
 * :func:`dp_levelsweep` / :class:`SweepKernel` — plan-driven single
   sweep; each cell computed once per anti-diagonal level, no fixpoint
   rounds.
 * :class:`AutoKernel` / :func:`choose_kernel` — the per-probe router
-  (the ``"auto"`` backend).
-* :class:`FrontierDecisionKernel` — decision-only frontier sweep
-  (no table at all; registered with the ``decision_only`` capability).
+  (the ``"auto"`` backend): the clamped decision fill when the machine
+  budget is known, the exact fill otherwise.
 
 See ``docs/PERFORMANCE.md`` ("Choosing a DP kernel") for when each
 wins.
@@ -26,12 +23,6 @@ from repro.core.kernels.auto import (
     choose_kernel,
     estimate_rounds,
 )
-from repro.core.kernels.decision import (
-    DecisionKernel,
-    FeasibilityResult,
-    FrontierDecisionKernel,
-    dp_decision,
-)
 from repro.core.kernels.sweep import SweepKernel, dp_levelsweep
 
 __all__ = [
@@ -39,10 +30,6 @@ __all__ = [
     "KernelChoice",
     "choose_kernel",
     "estimate_rounds",
-    "DecisionKernel",
-    "FeasibilityResult",
-    "FrontierDecisionKernel",
-    "dp_decision",
     "SweepKernel",
     "dp_levelsweep",
 ]

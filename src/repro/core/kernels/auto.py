@@ -2,11 +2,11 @@
 
 Three production kernels cover three regimes:
 
-* **decision** (:func:`~repro.core.kernels.decision.dp_decision`) —
-  when the machine budget is known, clamping at ``m + 1`` bounds the
-  relaxation rounds by ``min(OPT*, m + 1)`` and stops rejected probes
-  the moment nothing under the clamp moves.  The win grows with the
-  gap between ``OPT(N)`` and ``m``.
+* **decision** (:func:`~repro.core.dp_vectorized.dp_vectorized` with
+  ``machines=m``) — when the machine budget is known, clamping at
+  ``m + 1`` bounds the relaxation rounds by ``min(OPT*, m + 1)`` and
+  stops rejected probes the moment nothing under the clamp moves.  The
+  win grows with the gap between ``OPT(N)`` and ``m``.
 * **sweep** (:func:`~repro.core.kernels.sweep.dp_levelsweep`) — one
   gather pass per cell regardless of ``OPT``, allocating per-level
   temporaries only.  Measured head-to-head its indexed gathers lose
@@ -16,9 +16,9 @@ Three production kernels cover three regimes:
   so the cost model reserves it for the one regime the relaxation
   cannot enter: fills whose table-plus-scratch footprint exceeds the
   memory budget.
-* **vectorized** (:func:`~repro.core.dp_vectorized.dp_vectorized`) —
-  contiguous slice arithmetic; the default whenever no budget is
-  bound, and unbeatable on small tables where fixed overheads rule.
+* **vectorized** (the same fill, unclamped) — contiguous slice
+  arithmetic; the default whenever no budget is bound, and unbeatable
+  on small tables where fixed overheads rule.
 
 A fourth route opens only when a caller builds the kernel with a fill
 fabric (:class:`~repro.parallel.fabric.BlockExecutor`); no registered
@@ -29,8 +29,7 @@ backend or service front end does:
   library-only route kept for the layered benchmark's fabric column:
   measured on a 2-core host it is at least 5x slower than the fastest
   single-core kernel at every table size (``docs/PERFORMANCE.md``).
-  With a machine budget bound the decision kernel keeps the route
-  closed.
+  With a machine budget bound the decision route keeps it closed.
 
 :func:`choose_kernel` predicts the regime from quantities that are
 free before any fill: the table size ``sigma``, ``|C|``, the machine
@@ -57,7 +56,6 @@ from repro.core.dp_common import (
     relaxation_scratch_bytes,
 )
 from repro.core.dp_vectorized import dp_vectorized
-from repro.core.kernels.decision import dp_decision
 from repro.core.kernels.sweep import dp_levelsweep
 from repro.errors import DPError
 from repro.observability import context as obs
@@ -185,12 +183,12 @@ def choose_kernel(
 class AutoKernel:
     """Cost-model-driven :class:`~repro.core.ptas.DPSolver`.
 
-    Per probe, :func:`choose_kernel` routes to the decision kernel,
-    the level sweep, or the plain vectorized relaxation.  Like
-    :class:`~repro.core.kernels.decision.DecisionKernel` it accepts
-    the probe driver's machine-budget binding — without it every
-    choice is an exact fill, so direct calls still produce tables
-    bit-identical to the reference (tested).
+    Per probe, :func:`choose_kernel` routes to the clamped decision
+    fill, the level sweep, or the exact vectorized relaxation.  It
+    accepts the probe driver's machine-budget binding
+    (:meth:`bind_machines`) — without it every choice is an exact
+    fill, so direct calls still produce tables bit-identical to the
+    reference (tested).
 
     Parameters
     ----------
@@ -254,9 +252,10 @@ class AutoKernel:
         """Per-budget probe-cache key.
 
         A bound auto kernel *may* produce clamped tables, so its
-        results are isolated per budget like the decision kernel's;
-        exact tables cached under the token remain valid for that
-        budget (they answer strictly more).
+        results are isolated per budget; exact tables cached under the
+        token remain valid for that budget (they answer strictly
+        more).  ``sparsify`` does not enter the token — sparse and
+        dense fills share one fixpoint.
         """
         if self.machines is None:
             return None
@@ -339,20 +338,6 @@ class AutoKernel:
         else:
             order = plan.relaxation_order
             shifts = plan.shift_slices
-        if choice.kernel == "decision":
-            return dp_decision(
-                counts,
-                class_sizes,
-                target,
-                machines=self.machines,
-                configs=configs,
-                order=order,
-                shifts=shifts,
-                sparsify=effective,
-                sparse_configs=sparse,
-                sparse_shifts=sparse_sel,
-                warm_table=warm_table,
-            )
         return dp_vectorized(
             counts,
             class_sizes,
@@ -364,6 +349,7 @@ class AutoKernel:
             sparse_configs=sparse,
             sparse_shifts=sparse_sel,
             warm_table=warm_table,
+            machines=self.machines if choice.kernel == "decision" else None,
         )
 
     def __repr__(self) -> str:

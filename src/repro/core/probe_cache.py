@@ -473,8 +473,8 @@ class ProbeCache:
         miss still skips re-enumeration.  All *exact* solvers produce
         identical tables for identical inputs (tested), so their
         tables share one entry per normalized key.  Solvers whose
-        results are valid only under extra context — the decision
-        kernels, whose clamped tables depend on the machine budget —
+        results are valid only under extra context — a budget-bound
+        ``auto`` kernel, whose clamped tables depend on the budget —
         advertise a ``dp_cache_token`` that extends the key, so a
         clamped table is never served to a different budget (or to an
         exact solver).  ``fill`` (a model's
@@ -543,7 +543,7 @@ class ProbeCache:
                 )
             store_key = warm_key if warm_table is not None else key
             value = self._store("dp", self._dp, store_key, result)
-            self._register_warm(base_key, token, store_key, value)
+            self._register_warm(base_key, token, store_key)
         self._note("dp", hit)
         return value
 
@@ -571,17 +571,11 @@ class ProbeCache:
                     break
             if best is None:
                 return None
-        if not isinstance(best, DPResult):
-            return None  # decision-only results carry no table to seed from
         table = best.table
-        if table is None or getattr(table, "ndim", 0) == 0:
-            return None
-        return table
+        return None if table.ndim == 0 else table
 
-    def _register_warm(self, base_key, token, store_key, result) -> None:
+    def _register_warm(self, base_key, token, store_key) -> None:
         """Index one stored DP result as a future warm-start source."""
-        if not isinstance(result, DPResult):
-            return  # decision-only results carry no table to seed from
         family = (_warm_family(base_key), token)
         with self._lock:
             self._warm_index.setdefault(family, {})[

@@ -233,8 +233,8 @@ class ProbePlan:
 
         Largest configurations first (stable on ties): they reach far
         cells in fewer rounds, accelerating convergence of the in-place
-        propagation in :func:`repro.core.dp_vectorized.dp_vectorized`
-        and the decision kernel.  Historically re-derived by an argsort
+        propagation in :func:`repro.core.dp_vectorized.dp_vectorized`,
+        exact or clamped.  Historically re-derived by an argsort
         on *every* probe; as a plan layer it is computed once per
         ``(shape, configs)`` and shared across all probes that hit the
         same plan.

@@ -20,10 +20,9 @@ result.
 
 Correctness: all exact solvers produce bit-identical tables for
 identical inputs (property-tested across the registry), so stepping
-down never changes a probe's outcome, only its cost.  Decision-only
-backends are rejected as members (no backtrackable table); simulated
-engines are allowed but their per-fill time accounting stays on the
-member that actually served the fill.
+down never changes a probe's outcome, only its cost.  Simulated
+engines are allowed as members, but their per-fill time accounting
+stays on the member that actually served the fill.
 """
 
 from __future__ import annotations
@@ -70,12 +69,6 @@ class FallbackChain:
         resolved: List[Tuple[str, object]] = []
         for name in names:
             spec = get_spec(name)  # raises BackendError for unknown members
-            if spec.decision_only:
-                raise BackendError(
-                    f"fallback member {name!r} is decision-only (no "
-                    "backtrackable table) and can never serve a schedule "
-                    "request — remove it from the chain"
-                )
             kwargs = {"plan_cache": plan_cache} if spec.plan_aware else {}
             resolved.append((spec.name, resolve(name, **kwargs)))
         self.members = tuple(name for name, _ in resolved)
@@ -109,7 +102,7 @@ class FallbackChain:
 
     @property
     def dp_cache_token(self) -> Optional[tuple]:
-        """Per-budget probe-cache key, mirroring the decision kernels.
+        """Per-budget probe-cache key, mirroring the auto kernel's.
 
         A bound chain may serve fills from a bound ``auto`` member,
         whose tables can be clamped at the machine budget; isolating

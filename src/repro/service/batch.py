@@ -237,9 +237,7 @@ class BatchScheduler:
         stateful).  Individual requests may override it.  Defaults to
         ``"auto"`` — the cost-model kernel selector of
         :mod:`repro.core.kernels`, which routes each probe to the
-        cheapest kernel for its shape and budget.  Decision-only
-        backends are rejected here: the service's whole point is
-        producing schedules.
+        cheapest kernel for its shape and budget.
     workers:
         Thread-pool size; results are independent of it (tested).
     cache:

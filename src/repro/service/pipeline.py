@@ -35,7 +35,7 @@ from repro.core.improve import improve_schedule
 from repro.core.instance import Instance
 from repro.core.probe_cache import PlanCache, ProbeCache
 from repro.core.ptas import DPSolver, PtasResult, ptas_schedule
-from repro.errors import BackendError, InvalidInstanceError, ReproError
+from repro.errors import InvalidInstanceError, ReproError
 from repro.observability import Tracer, TraceSink, as_tracer
 from repro.observability import context as obs
 from repro.resilience import (
@@ -116,19 +116,6 @@ def schedule_request(
     return result
 
 
-def require_schedule_capable(name: str):
-    """Resolve ``name``'s spec, refusing decision-only backends loudly."""
-    spec = get_spec(name)
-    if spec.decision_only:
-        raise BackendError(
-            f"backend {name!r} is decision-only (it answers OPT(N) <= m "
-            "without a backtrackable table) and cannot produce the "
-            "schedules the batch service exists to build — pick a "
-            "table-producing backend such as 'auto' or 'vectorized'"
-        )
-    return spec
-
-
 def build_resilience(
     faults: Optional[FaultInjector] = None,
     retry: Optional[RetryPolicy] = None,
@@ -178,7 +165,7 @@ class ProbePipeline:
 
     ``sparsify`` controls configuration sparsification
     (:mod:`repro.core.sparsify`) on sparsify-aware backends: ``None``
-    keeps each backend's own default (decision-mode kernels prune,
+    keeps each backend's own default (the kernel backends prune,
     engines don't), ``True``/``False`` forces the knob on every
     resolved solver.  ``False`` additionally disables the probe
     cache's table-delta warm starts so a ``--no-sparsify`` run replays
@@ -194,7 +181,7 @@ class ProbePipeline:
     sparsify: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        require_schedule_capable(self.backend)  # fail fast, before any work
+        get_spec(self.backend)  # fail fast on unknown names, before any work
         if self.sparsify is False and self.cache is not None:
             # Warm tables are seeded from prior fills; a no-sparsify
             # run promises the exact dense replay, so cold fills only.
@@ -212,15 +199,7 @@ class ProbePipeline:
         from repro.service.batch import BatchRequestResult
 
         name = request.backend or self.backend
-        spec = require_schedule_capable(name)
-        model = request.instance.model
-        if not spec.supports_model(model):
-            raise BackendError(
-                f"backend {spec.name!r} does not support the "
-                f"{model!r} machine model (supported: "
-                f"{', '.join(spec.models)}) — pick a backend whose spec "
-                "lists the model, e.g. 'auto' or 'vectorized'"
-            )
+        spec = get_spec(name)
         kwargs: Dict[str, object] = {}
         if spec.plan_aware:
             kwargs["plan_cache"] = self.plan_cache

@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import backend_names, get_spec, resolve
+from repro.backends import backend_names, resolve
 from repro.core.bisection import bisection_search
 from repro.core.dp_reference import dp_reference
 from repro.core.instance import Instance
@@ -57,7 +57,7 @@ def _resolve(name):
 def test_pure_solvers_agree_on_both_searches(inst, eps):
     for search in (bisection_search, quarter_split_search):
         reference = search(inst, eps, dp_solver=resolve("vectorized"))
-        for name in ("frontier", "reference"):
+        for name in ("auto", "sweep", "reference"):
             result = search(inst, eps, dp_solver=resolve(name))
             assert result.makespan == reference.makespan, (name, search.__name__)
             assert result.final_target == reference.final_target
@@ -140,8 +140,6 @@ def test_every_backend_table_is_bit_identical_to_reference(probe):
     counts, sizes, target = probe
     reference = dp_reference(counts, sizes, target)
     for name in backend_names():
-        if get_spec(name).decision_only:
-            continue  # no dense table to compare by design (tested elsewhere)
         result = _resolve(name)(counts, sizes, target)
         assert result.table.dtype == reference.table.dtype, name
         assert result.table.shape == reference.table.shape, name

@@ -10,14 +10,11 @@ solvers and simulated engines alike.
 import numpy as np
 import pytest
 
-from repro.backends import backend_names, get_spec, resolve
+from repro.backends import backend_names, resolve
 from repro.core.dp_common import UNREACHABLE
 from repro.core.dp_reference import dp_reference
 
-# Decision-only backends answer the feasibility predicate without a
-# dense table, so the bit-identity assertions below cannot apply; their
-# degenerate behaviour is covered in tests/core/test_kernels.py.
-ALL_BACKENDS = [n for n in backend_names() if not get_spec(n).decision_only]
+ALL_BACKENDS = backend_names()
 
 
 def _resolve(name):

@@ -15,6 +15,16 @@ from repro.errors import BackendError, ReproError
 
 #: process-pool backend names that must not resolve: every fill is in-process.
 REMOVED_PROCESS_POOL_BACKENDS = ("hostpar", "hostpar-2", "wavefront", "wavefront-3")
+#: kernel backends folded into ``dp_vectorized(machines=)`` / ``auto``
+#: or deleted outright, with their aliases: they must fail loudly.
+REMOVED_KERNEL_BACKENDS = (
+    "decision",
+    "dp-decision",
+    "frontier",
+    "dp-frontier",
+    "frontier-decision",
+    "decision-frontier",
+)
 
 
 class TestListing:
@@ -22,8 +32,10 @@ class TestListing:
         names = backend_names()
         for expected in (
             "vectorized",
-            "frontier",
+            "auto",
+            "sweep",
             "reference",
+            "fallback",
             "serial",
             "omp-16",
             "omp-28",
@@ -112,9 +124,10 @@ class TestErrors:
         # The error must list the valid names so the CLI message is
         # self-explanatory.
         assert "vectorized" in message and "gpu-dim6" in message
-        for name in REMOVED_PROCESS_POOL_BACKENDS:
+        for name in REMOVED_PROCESS_POOL_BACKENDS + REMOVED_KERNEL_BACKENDS:
             with pytest.raises(BackendError, match=name):
                 resolve(name)
+            assert not is_registered(name)
 
     def test_backend_error_is_repro_and_lookup_error(self):
         with pytest.raises(ReproError):

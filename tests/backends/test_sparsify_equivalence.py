@@ -9,10 +9,14 @@ end form is asserted here: the same final target and the same makespan,
 probe sequence for probe sequence.
 """
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernels.auto as auto_mod
 from repro.backends import iter_backends, resolve
 from repro.core.instance import Instance
 from repro.core.ptas import probe_target, ptas_schedule
@@ -42,6 +46,14 @@ def _solver(name, sparsify):
     return resolve(name, **kwargs)
 
 
+def _clamped(name):
+    """``auto`` clamps budget-bound fills only above a table-size
+    floor; ``"auto-clamped"`` lowers it so every small probe clamps."""
+    if name != "auto-clamped":
+        return nullcontext()
+    return mock.patch.object(auto_mod, "SMALL_TABLE_CELLS", 0)
+
+
 def _models(inst):
     return (
         inst,
@@ -52,7 +64,6 @@ def _models(inst):
 
 def test_registry_exposes_the_expected_sparsify_population():
     assert set(SPARSIFY_AWARE) >= {
-        "decision",
         "sweep",
         "auto",
         "serial",
@@ -69,12 +80,16 @@ def test_registry_exposes_the_expected_sparsify_population():
 @given(inst=instances(), eps=EPS)
 @settings(max_examples=8, deadline=None)
 def test_pure_kernels_sparsified_probes_match_across_models(inst, eps):
-    for name in ("decision", "sweep", "auto"):
+    for name in ("sweep", "auto", "auto-clamped"):
         for modelled in _models(inst):
-            on = ptas_schedule(modelled, eps=eps, dp_solver=_solver(name, True))
-            off = ptas_schedule(
-                modelled, eps=eps, dp_solver=_solver(name, False)
-            )
+            solver = name.replace("-clamped", "")
+            with _clamped(name):
+                on = ptas_schedule(
+                    modelled, eps=eps, dp_solver=_solver(solver, True)
+                )
+                off = ptas_schedule(
+                    modelled, eps=eps, dp_solver=_solver(solver, False)
+                )
             assert on.final_target == off.final_target, (name, modelled.model)
             assert on.makespan == off.makespan, (name, modelled.model)
 
@@ -82,7 +97,7 @@ def test_pure_kernels_sparsified_probes_match_across_models(inst, eps):
 @given(inst=instances(), eps=EPS)
 @settings(max_examples=3, deadline=None)
 def test_simulated_engines_sparsified_probes_match_across_models(inst, eps):
-    names = [n for n in SPARSIFY_AWARE if n not in ("decision", "sweep", "auto")]
+    names = [n for n in SPARSIFY_AWARE if n not in ("sweep", "auto")]
     # One engine family member each is enough per example — the family
     # shares one fill path; the full population runs in the agreement
     # suite.
@@ -108,12 +123,13 @@ def test_probe_level_feasibility_iff_across_models(inst, eps, offset):
     for modelled in _models(inst):
         bounds = makespan_bounds(modelled)
         target = min(bounds.upper, bounds.lower + offset)
-        on = probe_target(
-            modelled, target, eps, dp_solver=_solver("decision", True)
-        )
-        off = probe_target(
-            modelled, target, eps, dp_solver=_solver("decision", False)
-        )
+        with _clamped("auto-clamped"):
+            on = probe_target(
+                modelled, target, eps, dp_solver=_solver("auto", True)
+            )
+            off = probe_target(
+                modelled, target, eps, dp_solver=_solver("auto", False)
+            )
         assert on.accepted == off.accepted, modelled.model
         if on.accepted:
             assert on.schedule.makespan == off.schedule.makespan
@@ -124,7 +140,6 @@ def test_hostpar_sparsified_probes_match_once(monkeypatch):
     # hypothesis (it owns a process pool); both knob positions, all
     # three models.  The routing floors are lowered and the machine
     # budget is never bound, so every fill takes the hostpar route.
-    import repro.core.kernels.auto as auto_mod
     from repro.core.kernels import AutoKernel
     from repro.observability import Tracer
     from repro.parallel.fabric import BlockExecutor

@@ -3,8 +3,9 @@
 The suite's correctness contract has three layers, and each gets its
 own class below:
 
-* the **clamped decision fill** must agree with the Algorithm 2
-  reference on accept/reject at every machine budget — especially the
+* the **clamped decision fill** (``dp_vectorized(machines=m)``) must
+  agree with the Algorithm 2 reference on accept/reject at every
+  machine budget — especially the
   budgets straddling ``OPT(N)`` where the clamp is load-bearing — and
   every value it stores below the clamp must be exact;
 * whatever kernel runs a probe, the **extracted schedules** must be
@@ -15,12 +16,17 @@ own class below:
   must make the choices and conversions they document.
 """
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_spec, resolve
+import repro.core.kernels.auto as auto_mod
+from repro.backends import resolve
+from repro.core.backtrack import extract_machine_configurations
 from repro.core.dp_common import (
     UNREACHABLE,
     pick_table_dtype,
@@ -28,19 +34,17 @@ from repro.core.dp_common import (
     widen_table,
 )
 from repro.core.dp_reference import dp_reference
+from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import Instance
 from repro.core.kernels import (
     AutoKernel,
-    DecisionKernel,
-    FrontierDecisionKernel,
     SweepKernel,
     choose_kernel,
-    dp_decision,
     dp_levelsweep,
     estimate_rounds,
 )
 from repro.core.ptas import probe_target, ptas_schedule
-from repro.errors import BackendError, DPError
+from repro.errors import DPError
 
 
 def probes():
@@ -71,82 +75,123 @@ def instances():
     )
 
 
+def clamped_routing(name):
+    """Force ``auto`` onto its clamped route even on small tables."""
+    if name != "auto-clamped":
+        return nullcontext()
+    return mock.patch.object(auto_mod, "SMALL_TABLE_CELLS", 0)
+
+
 class TestDecisionFill:
-    @given(probe=probes())
+    @given(probe=probes(), delta=st.integers(min_value=1, max_value=4))
     @settings(max_examples=25, deadline=None)
-    def test_accept_reject_matches_reference_at_every_budget(self, probe):
-        # The decision kernel's whole contract: fits(m) agrees with the
-        # exact OPT(N) for the budget it was clamped at — including the
-        # threshold-straddling budgets m = OPT-1, OPT, OPT+1 where the
-        # clamp boundary sits exactly on the answer.
+    def test_accept_reject_matches_reference_at_every_budget(self, probe, delta):
+        # The clamp's whole contract, over machines in {None, 0..OPT+1}
+        # x sparsify on/off x cold/warm: the verdict agrees with the
+        # exact OPT(N) (including the threshold-straddling budgets
+        # OPT-1, OPT, OPT+1), every stored value is an upper bound on
+        # OPT capped at the clamp and exact wherever backtrack can read
+        # it, and accepted tables backtrack to the exact fill's
+        # configurations.
         counts, sizes, target = probe
         ref = dp_reference(counts, sizes, target)
         opt = ref.opt
-        budgets = {1, sum(counts) + 1}
-        if opt < UNREACHABLE:
-            budgets |= {max(0, opt - 1), opt, opt + 1}
-        for m in sorted(budgets):
-            result = dp_decision(counts, sizes, target, machines=m)
-            assert result.clamp == m + 1
-            expect_reject = opt > m  # also True when opt == UNREACHABLE
-            assert result.decided_infeasible == expect_reject, (probe, m)
-            if not expect_reject:
-                assert result.opt == opt
-                assert result.fits(m)
+        top = opt + 1 if opt < UNREACHABLE else sum(counts) + 1
+        warm_target = target - delta
+        for m in [None, *range(top + 1)]:
+            for sparsify in (False, True):
+                seeds = [None]
+                if warm_target >= 1:
+                    seeds.append(
+                        dp_vectorized(
+                            counts, sizes, warm_target, machines=m,
+                            sparsify=sparsify,
+                        ).table
+                    )
+                for warm in seeds:
+                    case = (probe, m, sparsify, warm is not None)
+                    result = dp_vectorized(
+                        counts, sizes, target, machines=m,
+                        sparsify=sparsify, warm_table=warm,
+                    )
+                    if m is None:
+                        assert result.clamp is None, case
+                        assert np.array_equal(result.table, ref.table), case
+                        continue
+                    clamp = m + 1
+                    assert result.clamp == clamp, case
+                    expect_reject = opt > m  # also True when unreachable
+                    assert result.decided_infeasible == expect_reject, case
+                    table = result.table
+                    assert (table <= clamp).all(), case
+                    assert (table >= np.minimum(ref.table, clamp)).all(), case
+                    readable = table <= (m if expect_reject else opt)
+                    assert np.array_equal(table[readable], ref.table[readable]), case
+                    if not expect_reject:
+                        assert result.opt == opt and result.fits(m), case
+                        assert extract_machine_configurations(
+                            result
+                        ) == extract_machine_configurations(ref), case
 
     @given(probe=probes())
     @settings(max_examples=25, deadline=None)
     def test_values_below_clamp_are_exact(self, probe):
-        # Invariant (1)/(2) of the decision module: a clamped cell
-        # holds either its exact OPT(u) (when that is under the
-        # budget) or exactly the clamp (when OPT(u) exceeds it or no
-        # packing reaches the cell).  Load-rejected probes skip the
-        # fill entirely — their interior is all clamp by design — so
-        # the cell-level claim applies to the filled tables only.
+        # At m = 2 every value below the clamp is final once stored: a
+        # clamped cell holds either its exact OPT(u) (when that is
+        # under the budget) or exactly the clamp (when OPT(u) exceeds
+        # it or no packing reaches the cell).  Load-rejected probes
+        # skip the fill entirely — their interior is all clamp by
+        # design — so the cell-level claim applies to filled tables.
         counts, sizes, target = probe
         m = 2
         load = sum(c * s for c, s in zip(counts, sizes))
         if load > m * target:
-            result = dp_decision(counts, sizes, target, machines=m)
+            result = dp_vectorized(counts, sizes, target, machines=m)
             assert result.decided_infeasible
             return
         ref = dp_reference(counts, sizes, target)
-        result = dp_decision(counts, sizes, target, machines=m)
+        result = dp_vectorized(counts, sizes, target, machines=m)
         clamp = m + 1
         below = result.table < clamp
         assert np.array_equal(result.table[below], ref.table[below])
         assert (ref.table[~below] >= clamp).all()
 
     def test_fits_is_undecidable_beyond_the_clamp(self):
-        result = dp_decision((3,), (4,), 9, machines=1)
+        result = dp_vectorized((3,), (4,), 9, machines=1)
         with pytest.raises(DPError, match="clamped"):
             result.fits(2)
 
     def test_degenerate_probes(self):
         # No long jobs: the 0-d empty result, no clamp.
-        empty = dp_decision((), (), 9, machines=3)
+        empty = dp_vectorized((), (), 9, machines=3)
         assert empty.table.shape == () and empty.opt == 0
         # No configuration fits even one job: immediate rejection.
-        blocked = dp_decision((2, 2), (5, 7), 4, machines=3)
+        blocked = dp_vectorized((2, 2), (5, 7), 4, machines=3)
         assert blocked.configs.shape[0] == 0
         assert blocked.decided_infeasible
+        with pytest.raises(DPError, match="machines"):
+            dp_vectorized((2,), (5,), 9, machines=-1)
 
     @given(probe=probes())
     @settings(max_examples=15, deadline=None)
     def test_unbound_kernel_falls_back_to_the_exact_fill(self, probe):
         # Without a machine budget there is nothing to clamp at: the
         # kernel must produce reference-identical tables (this is what
-        # lets the registry agreement tests call it directly).
+        # lets the registry agreement tests call it directly), even on
+        # a view unbound from a previously bound kernel.
         counts, sizes, target = probe
         ref = dp_reference(counts, sizes, target)
-        for kernel in (DecisionKernel(), AutoKernel()):
-            result = kernel(counts, sizes, target)
+        for kernel in (AutoKernel(), AutoKernel().bind_machines(2).bind_machines(None)):
+            with clamped_routing("auto-clamped"):
+                result = kernel(counts, sizes, target)
             assert result.clamp is None, kernel
             assert np.array_equal(result.table, ref.table), kernel
 
 
 class TestProbeAndScheduleIdentity:
-    KERNELS = ("decision", "sweep", "auto")
+    # "auto-clamped" lowers auto's small-table floor so that every
+    # budget-bound fill of these small instances runs clamped.
+    KERNELS = ("sweep", "auto", "auto-clamped")
 
     @given(inst=instances())
     @settings(max_examples=8, deadline=None)
@@ -159,9 +204,11 @@ class TestProbeAndScheduleIdentity:
                 inst, eps=0.3, search=search, dp_solver=resolve("vectorized")
             )
             for name in self.KERNELS:
-                result = ptas_schedule(
-                    inst, eps=0.3, search=search, dp_solver=resolve(name)
-                )
+                with clamped_routing(name):
+                    result = ptas_schedule(
+                        inst, eps=0.3, search=search,
+                        dp_solver=resolve(name.replace("-clamped", "")),
+                    )
                 assert result.final_target == reference.final_target, name
                 assert result.makespan == reference.makespan, name
                 assert (
@@ -178,7 +225,10 @@ class TestProbeAndScheduleIdentity:
         for target in (max(1, final - 1), final, final + 1):
             ref = probe_target(inst, target, 0.3, resolve("vectorized"))
             for name in self.KERNELS:
-                probe = probe_target(inst, target, 0.3, resolve(name))
+                with clamped_routing(name):
+                    probe = probe_target(
+                        inst, target, 0.3, resolve(name.replace("-clamped", ""))
+                    )
                 assert probe.accepted == ref.accepted, (name, target)
                 if ref.accepted:
                     assert (
@@ -237,7 +287,6 @@ class TestCostModel:
         assert small.kernel == "vectorized"
 
     def test_auto_fabric_route_is_reference_identical(self, monkeypatch, medium_probe):
-        import repro.core.kernels.auto as auto_mod
         from repro.parallel.fabric import BlockExecutor
 
         # Shrink the routing floors so the medium probe takes the
@@ -268,37 +317,6 @@ class TestCostModel:
         assert np.array_equal(result.table, ref.table)
         direct = dp_levelsweep(counts, sizes, target)
         assert np.array_equal(direct.table, ref.table)
-
-
-class TestDecisionOnlyBackend:
-    def test_registry_flags_the_capability(self):
-        assert get_spec("frontier-decision").decision_only
-        for name in ("vectorized", "decision", "sweep", "auto"):
-            assert not get_spec(name).decision_only, name
-
-    def test_feasibility_answer_matches_reference(self):
-        counts, sizes, target = (3, 2), (4, 7), 11
-        ref = dp_reference(counts, sizes, target)
-        result = FrontierDecisionKernel()(counts, sizes, target)
-        assert result.opt == ref.opt
-        assert result.feasible == ref.feasible
-        assert result.fits(ref.opt) and not result.fits(ref.opt - 1)
-        assert not result.decided_infeasible
-
-    def test_table_access_raises_a_named_backend_error(self):
-        result = resolve("frontier-decision")((3,), (4,), 9)
-        with pytest.raises(BackendError, match="decision-only"):
-            result.table
-
-    def test_cli_schedule_refuses_decision_only_backends(self, capsys):
-        from repro.cli import main
-
-        code = main(
-            ["schedule", "--times", "3", "4", "5", "--machines", "2",
-             "--backend", "frontier-decision"]
-        )
-        assert code == 2
-        assert "decision-only" in capsys.readouterr().err
 
 
 class TestNarrowDtypes:
@@ -332,8 +350,8 @@ class TestNarrowDtypes:
         # The narrow dtypes are an internal fill detail: every public
         # DPResult is widened back to the canonical int64 table.
         counts, sizes, target = probe
-        for name in ("vectorized", "sweep", "auto", "frontier"):
+        for name in ("vectorized", "sweep", "auto"):
             assert resolve(name)(counts, sizes, target).table.dtype == np.int64
-        assert dp_decision(
+        assert dp_vectorized(
             counts, sizes, target, machines=2
         ).table.dtype == np.int64

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.configs import count_subconfigurations, enumerate_configurations
 from repro.core.dp_vectorized import dp_vectorized, seed_warm_table
-from repro.core.kernels.decision import DecisionKernel, dp_decision
+from repro.core.kernels import AutoKernel
 from repro.core.kernels.sweep import SweepKernel, dp_levelsweep
 from repro.core.probe_cache import CacheStats, PlanCache, ProbeCache
 from repro.core.sparsify import maximal_mask, sparsify_configurations
@@ -219,14 +219,16 @@ def test_dp_decision_sparse_matches_dense_feasibility(probe, machines):
     # bitwise-comparable — but the feasibility verdict and every cell
     # at or below the clamp (the cells backtrack can visit) must agree.
     counts, sizes, target = probe
-    dense = dp_decision(counts, sizes, target, machines, sparsify=False)
-    sparse = dp_decision(counts, sizes, target, machines, sparsify=True)
+    dense = dp_vectorized(counts, sizes, target, machines=machines)
+    sparse = dp_vectorized(
+        counts, sizes, target, machines=machines, sparsify=True
+    )
     assert dense.opt == sparse.opt
     assert dense.decided_infeasible == sparse.decided_infeasible
     if dense.decided_infeasible:
         # Rejected probes are never backtracked; a load-reject returns
         # the clamp-initialised table whose interior is deliberately
-        # inexact (see dp_decision's module docstring), so only the
+        # inexact (see dp_vectorized's docstring), so only the
         # verdict is comparable.
         return
     # Accepted probes: every cell backtrack can visit (true OPT at or
@@ -265,9 +267,10 @@ def test_warm_decision_fill_is_exact(probe, delta):
     # clamp the warm decision fixpoint must equal the exact table.
     assume(max(sizes) <= target)
     machines = int(sum(counts)) + 1  # clamp never binds
-    small = dp_decision(counts, sizes, target, machines)
-    warm = dp_decision(
-        counts, sizes, target + delta, machines, warm_table=small.table
+    small = dp_vectorized(counts, sizes, target, machines=machines)
+    warm = dp_vectorized(
+        counts, sizes, target + delta, machines=machines,
+        warm_table=small.table,
     )
     exact = dp_vectorized(counts, sizes, target + delta)
     assert np.array_equal(warm.table, exact.table)
@@ -322,7 +325,7 @@ def test_hit_rate_is_zero_for_unseen_kinds():
 
 
 def test_probe_cache_registers_and_reuses_warm_tables():
-    kernel = DecisionKernel(machines=3)
+    kernel = AutoKernel(plan_cache=PlanCache(), machines=3)
     cache = ProbeCache()
     # Drive the cache through its public dp() via the kernel protocol:
     # two probes in the same family at increasing budgets.
@@ -345,10 +348,12 @@ def test_warm_and_cold_results_agree_end_to_end():
 
     inst = uniform_instance(18, 3, low=1, high=40, seed=11)
     warm = ptas_schedule(
-        inst, eps=0.2, dp_solver=DecisionKernel(), cache=ProbeCache()
+        inst, eps=0.2, dp_solver=AutoKernel(plan_cache=PlanCache()),
+        cache=ProbeCache(),
     )
     cold = ptas_schedule(
-        inst, eps=0.2, dp_solver=DecisionKernel(sparsify=False),
+        inst, eps=0.2,
+        dp_solver=AutoKernel(plan_cache=PlanCache(), sparsify=False),
         cache=ProbeCache(warm_start=False),
     )
     bare = ptas_schedule(inst, eps=0.2)

@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import backend_names, get_spec, resolve
+from repro.backends import backend_names, resolve
 from repro.core.instance import Instance
 from repro.core.ptas import ptas_schedule
 from repro.models import lift_to_few_types, lift_to_time_restricted
@@ -85,18 +85,12 @@ def test_lifts_are_search_identical_on_exact_solvers(inst, eps, search):
 @given(inst=instances(), eps=EPS)
 @settings(max_examples=5, deadline=None)
 def test_lifts_agree_on_every_registry_backend(inst, eps):
-    # The whole registry: every schedule-capable backend that supports
-    # the lifted model must give the lifted instance the identical
-    # instance's makespan, final target, and assignment.
+    # The whole registry: every backend must give the lifted instance
+    # the identical instance's makespan, final target, and assignment.
     for name in backend_names():
-        spec = get_spec(name)
-        if spec.decision_only:
-            continue  # cannot produce schedules at all (tested elsewhere)
         base = ptas_schedule(inst, eps=eps, dp_solver=_resolve(name))
         for lift in LIFTS:
             lifted_inst = lift(inst)
-            if not spec.supports_model(lifted_inst.model):
-                continue
             lifted = ptas_schedule(lifted_inst, eps=eps, dp_solver=_resolve(name))
             assert lifted.makespan == base.makespan, (name, lift.__name__)
             assert lifted.final_target == base.final_target, (name, lift.__name__)

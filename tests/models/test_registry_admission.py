@@ -1,49 +1,17 @@
-"""Model capability flags and model-aware admission accounting.
+"""Model-aware admission accounting.
 
-Every backend spec must declare which machine models it can serve
-(``BackendSpec.models``), and the admission controller must charge a
-probe for *all* the fills its model runs — one table for identical and
-time-restricted, one per type plus the composition lattices for
-few-types.
+The admission controller must charge a probe for *all* the fills its
+model runs — one table for identical and time-restricted, one per type
+plus the composition lattices for few-types.
 """
 
 import pytest
 
-from repro.backends import backend_names, get_spec
-from repro.core.instance import KNOWN_MODELS, Instance, uniform_instance
+from repro.core.instance import Instance, uniform_instance
 from repro.core.rounding import round_instance
 from repro.errors import MemoryBudgetExceeded
 from repro.models import lift_to_few_types, model_for
 from repro.resilience import AdmissionController
-
-
-class TestCapabilityFlags:
-    def test_every_spec_declares_known_models_only(self):
-        for name in backend_names():
-            spec = get_spec(name)
-            assert spec.models, name
-            assert set(spec.models) <= set(KNOWN_MODELS), name
-            assert "identical" in spec.models, name
-            for model in KNOWN_MODELS:
-                assert spec.supports_model(model) == (model in spec.models)
-
-    def test_frontier_decision_cannot_compose_few_types(self):
-        # The windowed frontier sweep answers only the root cell; the
-        # few-types boolean-lattice composition needs *every* cell, so
-        # the spec must exclude the model.
-        spec = get_spec("frontier-decision")
-        assert not spec.supports_model("unrelated-few-types")
-        assert spec.supports_model("identical")
-        assert spec.supports_model("time-restricted")
-
-    def test_schedule_capable_backends_serve_all_models(self):
-        # Today every schedule-capable backend runs every model through
-        # the shared fill machinery; narrowing is a conscious decision.
-        for name in backend_names():
-            spec = get_spec(name)
-            if spec.decision_only:
-                continue
-            assert set(spec.models) == set(KNOWN_MODELS), name
 
 
 class TestModelAwareAdmission:

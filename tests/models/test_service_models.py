@@ -4,18 +4,14 @@ Covers the satellites of the model refactor that live above the core:
 the daemon's coalescing key separates models structurally, degraded
 mode serves each model its *own* certified baseline (the LPT/MULTIFIT
 ratios are identical-machines theorems and must never be quoted for
-the other models), the pipeline refuses backends whose spec does not
-list the request's model, and batch/serve runs carry mixed-model
-workloads end to end with feasible schedules.
+the other models), and batch/serve runs carry mixed-model workloads
+end to end with feasible schedules.
 """
 
 import asyncio
 
-import pytest
-
-from repro.core.instance import Instance, uniform_instance
+from repro.core.instance import uniform_instance
 from repro.core.probe_cache import normalized_request_key
-from repro.errors import BackendError
 from repro.models import lift_to_few_types, lift_to_time_restricted, with_model
 from repro.resilience import FaultInjector
 from repro.service import SchedulingService
@@ -103,33 +99,6 @@ class TestDegradedModeIsModelAware:
 
             verify_schedule(r.degraded_schedule)
             assert r.degraded_bound >= 1.0
-
-
-class TestPipelineModelGate:
-    def test_unsupported_model_is_refused_loudly(self, monkeypatch):
-        import dataclasses
-
-        from repro.backends import get_spec
-        from repro.service import pipeline as pipeline_mod
-        from repro.service.batch import BatchRequest
-
-        narrowed = dataclasses.replace(get_spec("auto"), models=("identical",))
-        monkeypatch.setattr(
-            pipeline_mod, "require_schedule_capable", lambda name: narrowed
-        )
-        pipe = pipeline_mod.ProbePipeline(backend="auto")
-        request = BatchRequest(
-            instance=lift_to_few_types(uniform_instance(8, 2, seed=3)),
-            name="r0",
-        )
-        with pytest.raises(BackendError, match="does not support"):
-            pipe.run(request)
-
-    def test_decision_only_backend_cannot_serve_any_model(self):
-        from repro.service.pipeline import require_schedule_capable
-
-        with pytest.raises(BackendError, match="decision-only"):
-            require_schedule_capable("frontier-decision")
 
 
 class TestMixedModelBatch:

@@ -31,10 +31,6 @@ class TestRegistryFamily:
         with pytest.raises(BackendError, match="unknown backend"):
             resolve("fallback:auto,not-a-backend")
 
-    def test_decision_only_member_rejected(self):
-        with pytest.raises(BackendError, match="decision-only"):
-            resolve("fallback:frontier-decision,vectorized")
-
     def test_empty_chain_rejected(self):
         with pytest.raises(BackendError, match="at least one member"):
             FallbackChain([])

@@ -227,12 +227,3 @@ class TestValidation:
         with pytest.raises(BackendError):
             BatchScheduler(backend="tpu-v5")
 
-    def test_rejects_decision_only_backend_up_front(self):
-        with pytest.raises(BackendError, match="decision-only"):
-            BatchScheduler(backend="frontier-decision")
-
-    def test_rejects_decision_only_request_override(self, fleet):
-        scheduler = BatchScheduler(workers=1)
-        requests = [BatchRequest(instance=fleet[0], backend="frontier-decision")]
-        with pytest.raises(BackendError, match="decision-only"):
-            scheduler.run(requests)

@@ -98,7 +98,7 @@ class TestBackendFlag:
         makespan_line = next(
             line for line in default_out.splitlines() if "makespan" in line
         )
-        for backend in ("frontier", "serial", "omp-28", "hybrid"):
+        for backend in ("auto", "sweep", "serial", "omp-28", "hybrid"):
             code = main(self.ARGS + ["--backend", backend])
             assert code == 0
             assert makespan_line in capsys.readouterr().out, backend
@@ -114,7 +114,9 @@ class TestBackendFlag:
         assert "simulated" not in capsys.readouterr().out
 
     def test_unknown_backend_exits_2_listing_names(self, capsys):
-        for name in ("tpu-v5", "hostpar-2"):
+        removed = ("decision", "dp-decision", "frontier", "dp-frontier",
+                   "frontier-decision", "decision-frontier")
+        for name in ("tpu-v5", "hostpar-2", *removed):
             code = main(self.ARGS + ["--backend", name])
             assert code == 2
             err = capsys.readouterr().err

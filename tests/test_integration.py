@@ -5,11 +5,9 @@ once, complementing the per-module suites.
 """
 
 import numpy as np
-import pytest
 
 from repro import ptas_schedule, uniform_instance
 from repro.core.baselines import branch_and_bound_optimal, lpt_schedule
-from repro.core.dp_frontier import dp_frontier
 from repro.core.improve import improve_schedule
 from repro.core.io import dumps_schedule, loads_schedule
 from repro.core.rounding import round_instance
@@ -67,17 +65,6 @@ class TestEngineConsistencyAcrossThePtas:
 
 
 class TestAlternativeSolversAgree:
-    def test_frontier_matches_engines_on_real_probe(self):
-        inst = uniform_instance(28, 5, low=5, high=70, seed=23)
-        rounded = round_instance(inst, 200, 0.3)
-        if rounded.dims == 0:
-            pytest.skip("probe degenerate for this seed/target")
-        engine = GpuPartitionedEngine(dim=4)
-        run = engine.run(rounded.counts, rounded.class_sizes, rounded.target)
-        assert dp_frontier(
-            rounded.counts, rounded.class_sizes, rounded.target
-        ) == run.dp_result.opt
-
     def test_host_parallel_matches_simulated_engines(self):
         inst = uniform_instance(25, 4, low=5, high=60, seed=3)
         rounded = round_instance(inst, 80, 0.3)
