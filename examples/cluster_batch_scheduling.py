@@ -9,12 +9,11 @@ heuristics leave machines unbalanced and the PTAS's rounding pays off.
 The script schedules the same workload with list scheduling, LPT, and
 MULTIFIT for reference, then hands the real batch — the workload at
 several accuracies at once — to the production front-end,
-:class:`repro.service.BatchScheduler`: the requests fan out across a
-thread pool, share one ``ProbeCache`` (probes from different
-accuracies that round to the same geometry reuse each other's
-configuration sets and DP-tables), and come back as one deterministic
-report whose cache stats show how much of the batch was served from
-cache.
+:class:`repro.service.BatchScheduler`: each request runs in a forked
+worker process that starts from the scheduler's ``ProbeCache`` (a
+request's probes that round to the same geometry reuse each other's
+configuration sets and DP-tables), and the requests come back as one
+deterministic report whose cache stats count every worker's lookups.
 
 Usage:  python examples/cluster_batch_scheduling.py
 """
@@ -62,8 +61,8 @@ def main() -> None:
     describe("MULTIFIT", s.makespan, s.loads(), "(bin-packing bisection)")
 
     # The accuracy sweep as one batch: three requests, three worker
-    # threads, one shared probe cache.  Results are deterministic and
-    # identical to running ptas_schedule three times by hand.
+    # processes, each starting from the scheduler's probe cache.
+    # Results are deterministic and do not depend on the worker count.
     scheduler = BatchScheduler(backend="vectorized", workers=3, search="quarter")
     report = scheduler.run(
         [
@@ -98,7 +97,7 @@ def main() -> None:
         f"in {report.wall_s:.2f}s"
     )
     print(
-        f"shared probe cache: {stats.total_hits} hits / "
+        f"probe cache, all workers: {stats.total_hits} hits / "
         f"{stats.total_hits + stats.total_misses} lookups "
         f"(DP-table hit rate {stats.hit_rate('dp'):.0%}) — "
         "see docs/PERFORMANCE.md"

@@ -104,6 +104,16 @@ class CacheStats:
         """Tally one capacity eviction of ``kind``."""
         self.evictions[kind] = self.evictions.get(kind, 0) + 1
 
+    def merge(self, other: "CacheStats") -> None:
+        """Add another tally's counts into this one."""
+        for mine, theirs in (
+            (self.hits, other.hits),
+            (self.misses, other.misses),
+            (self.evictions, other.evictions),
+        ):
+            for kind, n in theirs.items():
+                mine[kind] = mine.get(kind, 0) + n
+
     def hit_rate(self, kind: str) -> float:
         """Fraction of ``kind`` lookups served from the cache."""
         h = self.hits.get(kind, 0)

@@ -98,6 +98,17 @@ class Tracer:
         for probe in other.probes:
             self.record_probe(probe)
 
+    def __getstate__(self) -> Dict[str, object]:
+        # Pickles without its lock, so a forked batch worker can send
+        # its request's tracer back to the parent.
+        state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     # -- activation ---------------------------------------------------------
 
     @contextmanager

@@ -69,6 +69,16 @@ class PhaseTimer:
             self.seconds[name] = self.seconds.get(name, 0.0) + secs
             self.entries[name] = self.entries.get(name, 0) + other.entries.get(name, 0)
 
+    def __getstate__(self) -> Dict[str, Dict]:
+        # The lock cannot cross a process boundary; the tallies can
+        # (the batch scheduler ships each worker's tracer home).
+        return {"seconds": self.seconds, "entries": self.entries}
+
+    def __setstate__(self, state: Dict[str, Dict]) -> None:
+        self.seconds = state["seconds"]
+        self.entries = state["entries"]
+        self._lock = threading.Lock()
+
     @property
     def total(self) -> float:
         """Sum of all phase seconds (nested phases count per name)."""

@@ -115,6 +115,10 @@ class FaultEvent:
     attempt: int
 
 
+#: faults fired per ``(site, instance signature, target)`` key.
+FiredCounts = Dict[Tuple[str, str, int], int]
+
+
 class FaultInjector:
     """Deterministic seeded fault source for the probe path.
 
@@ -174,7 +178,7 @@ class FaultInjector:
         #: every injected fault, in injection order (thread-unordered
         #: under parallel executors; compare as multisets there).
         self.events: List[FaultEvent] = []
-        self._fired: Dict[Tuple[str, str, int], int] = {}
+        self._fired: FiredCounts = {}
         self._lock = threading.Lock()
 
     @classmethod
@@ -319,6 +323,35 @@ class FaultInjector:
             return tuple(
                 sorted(self.events, key=lambda e: (e.site, e.target, e.attempt, e.kind))
             )
+
+    def mark(self) -> Tuple[int, FiredCounts]:
+        """Where the injection record stands now (for :meth:`since`)."""
+        with self._lock:
+            return len(self.events), dict(self._fired)
+
+    def since(
+        self, mark: Tuple[int, FiredCounts]
+    ) -> Tuple[List[FaultEvent], FiredCounts]:
+        """Injections recorded after ``mark``: events and per-key fire counts."""
+        count, fired = mark
+        with self._lock:
+            return self.events[count:], {
+                key: n - fired.get(key, 0)
+                for key, n in self._fired.items()
+                if n != fired.get(key, 0)
+            }
+
+    def fold(self, injections: Tuple[List[FaultEvent], FiredCounts]) -> None:
+        """Record a copy's :meth:`since` here (a forked batch worker's).
+
+        Afterwards the event log and the per-key caps read as if this
+        injector had made those injections itself.
+        """
+        events, fired = injections
+        with self._lock:
+            self.events.extend(events)
+            for key, n in fired.items():
+                self._fired[key] = self._fired.get(key, 0) + n
 
     def reset(self) -> None:
         """Forget fired-fault history and events (the seed is retained)."""

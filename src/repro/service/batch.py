@@ -1,53 +1,59 @@
-"""The batch scheduling service: many instances, one shared cache.
+"""The batch scheduling service: many instances, one process per request.
 
 ``P || Cmax`` rarely arrives one instance at a time in production — a
 nightly cluster batch, a what-if sweep over accuracies, or a fleet of
-tenant workloads all want *many* PTAS runs whose probes overlap
-heavily.  :class:`BatchScheduler` is the engineering layer for that
-workload (cf. Berndt et al., *"Load Balancing: The Long Road from
-Theory to Practice"*):
+tenant workloads all want *many* PTAS runs.  :class:`BatchScheduler`
+is the engineering layer for that workload (cf. Berndt et al.,
+*"Load Balancing: The Long Road from Theory to Practice"*):
 
-* requests run across a **thread pool** (the DP fills are numpy-heavy,
-  so threads overlap usefully despite the GIL, and a thread pool keeps
-  one shared in-process cache — processes would not);
-* one :class:`~repro.core.probe_cache.ProbeCache` is **shared across
-  the whole batch**: probes from different requests that round to the
-  same normalized geometry reuse each other's configuration sets and
-  DP-tables (scale-invariance makes such collisions common — see the
-  cache module docstring);
-* one :class:`~repro.core.probe_cache.PlanCache` is likewise shared:
-  plan-aware backends (``BackendSpec.plan_aware``) reuse probe *plans*
-  — level schedules, work profiles, block partitions — across every
-  request of the batch, which is sound even when DP sharing is off
-  (plans are pure structure);
+* requests run in **forked worker processes**, one batch-long pool of
+  ``workers`` processes per :meth:`BatchScheduler.run`.  The DP fills
+  are interpreter-bound, so threads serialized on the GIL; a whole
+  request (tens of milliseconds) is a grain worth shipping to a
+  process, where a fill wave (a few milliseconds) was not.
+  ``workers=1`` and one-request batches run in-process;
+* every worker starts from the scheduler's
+  :class:`~repro.core.probe_cache.ProbeCache` and
+  :class:`~repro.core.probe_cache.PlanCache` as they stand when the
+  batch begins (inherited at fork) and keeps its own entries for the
+  rest of the batch.  Those entries are dropped when the batch ends;
+  the hit/miss tallies come home and are added to the scheduler's
+  caches, so ``BatchReport`` counts every lookup of the batch.  The
+  hits that matter are within a request (bisection probes warm-start
+  each other), so little is lost — see ``docs/PERFORMANCE.md``;
 * each request records into its own
-  :class:`~repro.observability.Tracer`; after the fan-out they are
-  **merged in request order** into one aggregate tracer, so the
-  report is deterministic even though execution interleaves;
+  :class:`~repro.observability.Tracer`, which the worker sends back;
+  the tracers are **merged in request order** into one aggregate
+  tracer, so the report is deterministic even though execution
+  interleaves.  Faults an armed injector fires in a worker are folded
+  back into the scheduler's :class:`~repro.resilience.FaultInjector`;
+* a worker that dies fails the requests still in its pool; each is
+  run again once in a fresh process, and a request that kills that one
+  too is served a degraded baseline answer (or raises with
+  ``degrade=False``), so N requests still give N results;
 * backends come from the **registry** (:mod:`repro.backends`): each
   request resolves a *fresh* solver instance, because the simulator
-  engines are stateful accumulators that must not be shared across
-  concurrent requests.
+  engines are stateful accumulators.
 
 Determinism: a request's result depends only on its instance, ``eps``,
 search, and backend — never on worker count or the cache (cache hits
 are bit-identical to recomputation, property-tested).  The test suite
-asserts batch results equal sequential :func:`~repro.core.ptas.ptas_schedule`
-runs exactly.
+asserts batch results equal sequential
+:func:`~repro.service.pipeline.schedule_request` runs exactly.
 """
 
 from __future__ import annotations
 
+import gc
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.instance import Instance
 from repro.core.probe_cache import CacheStats, PlanCache, ProbeCache
 from repro.core.ptas import PtasResult
 from repro.core.schedule import Schedule
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, WorkerCrashError
 from repro.observability import Tracer
 from repro.resilience import FaultInjector, RetryPolicy
 from repro.service.pipeline import ProbePipeline, build_resilience
@@ -127,8 +133,9 @@ class BatchReport:
 
     ``results`` is in request order regardless of completion order.
     ``tracer`` is the merged per-request tracer (phases, counters, one
-    probe event per DP probe of the whole batch); ``cache_stats`` is a
-    snapshot of the shared cache's tallies after the batch.
+    probe event per DP probe of the whole batch); ``cache_stats`` is the
+    scheduler's probe-cache tallies after the batch, every worker's
+    lookups included.
     """
 
     backend: str
@@ -136,8 +143,8 @@ class BatchReport:
     results: List[BatchRequestResult] = field(default_factory=list)
     tracer: Tracer = field(default_factory=Tracer)
     cache_stats: Optional[CacheStats] = None
-    #: tallies of the batch's shared plan cache (``None`` when the
-    #: batch's backend is not plan-aware).
+    #: tallies of the scheduler's plan cache (``None`` until a
+    #: plan-aware backend has looked a plan up).
     plan_cache_stats: Optional[CacheStats] = None
     wall_s: float = 0.0
 
@@ -239,10 +246,12 @@ class BatchScheduler:
         :mod:`repro.core.kernels`, which routes each probe to the
         cheapest kernel for its shape and budget.
     workers:
-        Thread-pool size; results are independent of it (tested).
+        Worker processes per batch (at most one per request); results
+        are independent of it (tested).  ``1`` runs every request in
+        this process.
     cache:
-        The shared :class:`~repro.core.probe_cache.ProbeCache`; pass
-        ``None`` to disable cross-request reuse entirely.
+        The :class:`~repro.core.probe_cache.ProbeCache` every request
+        starts from; pass ``None`` to disable reuse entirely.
     search / eps:
         Defaults for requests that do not specify their own.
     faults / retry / deadline_s / memory_budget_bytes:
@@ -271,7 +280,7 @@ class BatchScheduler:
         scheduler = BatchScheduler(workers=4)      # backend="auto"
         report = scheduler.run([inst_a, inst_b, inst_c])
         report.makespans()          # deterministic, order-preserving
-        report.cache_stats          # shared-cache tallies for the batch
+        report.cache_stats          # cache tallies, every worker's lookups
     """
 
     def __init__(
@@ -318,7 +327,7 @@ class BatchScheduler:
     def close(self) -> None:
         """Release the scheduler (a no-op, kept for explicit callers).
 
-        Every fill runs in-process on the batch's threads, so the
+        Each batch's worker pool lives only inside :meth:`run`, so the
         scheduler holds no pool or shared segment between batches; the
         method and the context manager remain so code that closes its
         scheduler keeps working.
@@ -335,12 +344,12 @@ class BatchScheduler:
 
     @property
     def cache(self) -> Optional[ProbeCache]:
-        """The shared probe cache (``None`` when reuse is disabled)."""
+        """The probe cache every request starts from (``None``: no reuse)."""
         return self.pipeline.cache
 
     @property
     def plan_cache(self) -> PlanCache:
-        """The shared plan cache every plan-aware request reuses."""
+        """The plan cache every plan-aware request starts from."""
         return self.pipeline.plan_cache
 
     @property
@@ -381,38 +390,33 @@ class BatchScheduler:
             name=f"request-{index}",
         )
 
-    def _run_one(self, request: BatchRequest) -> tuple[BatchRequestResult, Tracer]:
-        """Execute one request on the shared :class:`ProbePipeline`."""
-        return self.pipeline.run(request)
-
     def run(
         self, items: Sequence[Union[BatchRequest, Instance]]
     ) -> BatchReport:
         """Run the whole batch; returns a deterministic :class:`BatchReport`.
 
-        Requests execute across the pool in submission order; results
-        and the merged tracer are assembled in request order, so two
-        runs of the same batch produce identical reports (up to wall
-        timings) at any worker count.  A zero-request batch is a valid
-        batch: it returns an empty report (no thread pool is spun up,
-        and ``as_dict()`` is fully formed) rather than asking callers
-        to special-case it.
+        With ``workers >= 2`` and two or more requests, the requests
+        run on a pool of forked processes that lives for this call;
+        each free worker takes the next request in submission order.
+        Results and the merged tracer are assembled in request order,
+        so two runs of the same batch produce identical reports (up to
+        wall timings) at any worker count.  A zero-request batch is a
+        valid batch: it returns an empty report (``as_dict()`` is fully
+        formed) rather than asking callers to special-case it.
         """
         requests = [self._as_request(item, i) for i, item in enumerate(items)]
         start = time.perf_counter()
-        if not requests:
-            outcomes: list[tuple[BatchRequestResult, Tracer]] = []
-        elif self.workers == 1:
-            outcomes = [self._run_one(r) for r in requests]
+        if self.workers == 1 or len(requests) < 2:
+            outcomes = [self.pipeline.run(r) for r in requests]
         else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(pool.map(self._run_one, requests))
+            outcomes = self._run_forked(requests)
+        plans = self.plan_cache.stats
         report = BatchReport(
             backend=self.backend,
             workers=self.workers,
             cache_stats=self.cache.stats if self.cache is not None else None,
             plan_cache_stats=(
-                self.plan_cache.stats if len(self.plan_cache) else None
+                plans if plans.hits.get("plan") or plans.misses.get("plan") else None
             ),
         )
         for item_result, tracer in outcomes:
@@ -420,3 +424,148 @@ class BatchScheduler:
             report.tracer.merge(tracer)
         report.wall_s = time.perf_counter() - start
         return report
+
+    def _run_forked(
+        self, requests: List[BatchRequest]
+    ) -> List[Tuple[BatchRequestResult, Tracer]]:
+        """Run the batch in forked workers, re-running what a dead one lost.
+
+        A worker's death fails every request still in its pool.  Each
+        of those runs again once, in a fresh one-process pool: the
+        first request such a pool loses is the one that killed it, and
+        it is answered by :meth:`_lost`; the rest go on in the next
+        fresh pool.
+        """
+        outcomes: List[Optional[Tuple[BatchRequestResult, Tracer]]] = [None] * len(
+            requests
+        )
+        left = self._fork(requests, range(len(requests)), outcomes, self.workers)
+        while left:
+            start = time.perf_counter()
+            left = self._fork(requests, left, outcomes, 1)
+            if left:
+                culprit, left = left[0], left[1:]
+                outcomes[culprit] = self._lost(
+                    requests[culprit], time.perf_counter() - start
+                )
+        return outcomes  # type: ignore[return-value]
+
+    def _fork(
+        self,
+        requests: List[BatchRequest],
+        indexes: Sequence[int],
+        outcomes: List[Optional[Tuple[BatchRequestResult, Tracer]]],
+        workers: int,
+    ) -> List[int]:
+        """Run ``requests[i]`` for each index on one pool of forked processes.
+
+        Fills ``outcomes`` in place and returns the indexes the pool
+        lost to a dead worker.
+        """
+        # Imported here: multiprocessing costs ~20 ms to import, and
+        # the daemon and CLI, which share this package, never fork.
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        indexes = list(indexes)
+        pool = ProcessPoolExecutor(
+            max_workers=min(workers, len(indexes)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt,
+            initargs=(self.pipeline,),
+        )
+        futures = []
+        try:
+            # The first submit forks every worker.  Frozen objects are
+            # left out of the children's collections, so they do not
+            # copy the parent's whole heap just to scan it.
+            gc.freeze()
+            try:
+                for i in indexes:
+                    futures.append(pool.submit(_run_in_worker, requests[i]))
+            except BrokenProcessPool:
+                pass  # a worker died already; the rest count as lost
+            finally:
+                gc.unfreeze()
+            lost = indexes[len(futures):]
+            for i, future in zip(indexes, futures):
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    lost.append(i)
+                    continue
+                outcomes[i] = self._fold(*outcome)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return sorted(lost)
+
+    def _fold(
+        self,
+        result: BatchRequestResult,
+        tracer: Tracer,
+        stats: Tuple[Optional[CacheStats], CacheStats],
+        injections: Optional[tuple],
+    ) -> Tuple[BatchRequestResult, Tracer]:
+        """Add a worker's cache tallies and injected faults to this scheduler's."""
+        probe_stats, plan_stats = stats
+        if probe_stats is not None:
+            self.cache.stats.merge(probe_stats)
+        self.plan_cache.stats.merge(plan_stats)
+        if injections is not None:
+            self.faults.fold(injections)
+        return result, tracer
+
+    def _lost(
+        self, request: BatchRequest, wall_s: float
+    ) -> Tuple[BatchRequestResult, Tracer]:
+        """The answer for a request whose worker died twice."""
+        exc = WorkerCrashError(
+            f"batch worker process died running request {request.name!r}"
+        )
+        if not self.degrade:
+            raise exc
+        tracer = Tracer()
+        return self.pipeline.degraded_result(request, exc, 0.0, wall_s, tracer), tracer
+
+
+#: the pipeline a forked batch worker runs its requests on (set only
+#: in worker processes, by the pool initializer).
+_WORKER_PIPELINE: Optional[ProbePipeline] = None
+
+
+def _adopt(pipeline: ProbePipeline) -> None:
+    """Pool initializer: the pipeline arrives with the fork, unpickled.
+
+    Fork, not spawn, because the pipeline cannot be pickled: it holds
+    locks, caches and whatever callables a caller installed (a fault
+    injector's ``match``, a wrapped ``run``).  The price is the usual
+    one of fork: no other thread may hold one of its locks while
+    :meth:`BatchScheduler.run` starts the pool.
+    """
+    global _WORKER_PIPELINE
+    _WORKER_PIPELINE = pipeline
+
+
+def _run_in_worker(request: BatchRequest) -> tuple:
+    """Run one request in a worker; return what the parent folds back.
+
+    That is the result, the request's tracer, the tallies the request
+    added to the probe and plan caches, and the faults it injected.
+    """
+    pipeline = _WORKER_PIPELINE
+    assert pipeline is not None
+    # Fresh tallies per request: what they hold afterwards is its share.
+    if pipeline.cache is not None:
+        pipeline.cache.stats = CacheStats()
+    pipeline.plan_cache.stats = CacheStats()
+    mark = pipeline.faults.mark() if pipeline.faults is not None else None
+    result, tracer = pipeline.run(request)
+    return (
+        result,
+        tracer,
+        (
+            pipeline.cache.stats if pipeline.cache is not None else None,
+            pipeline.plan_cache.stats,
+        ),
+        pipeline.faults.since(mark) if mark is not None else None,
+    )

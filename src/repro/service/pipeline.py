@@ -13,11 +13,11 @@ bit-identical results because they literally run the same code.  CLI
 ``schedule`` calls :func:`schedule_request` too, so all three front
 doors answer alike.
 
-The pipeline is synchronous and thread-safe — the batch scheduler
-calls it from a thread pool, the daemon from ``run_in_executor``
-workers.  All cross-request state (probe cache, plan cache, fault
-injector bookkeeping) is owned by the pipeline and already safe for
-concurrent callers.
+The pipeline is synchronous and thread-safe — the daemon calls it
+from ``run_in_executor`` workers, and the batch scheduler from forked
+worker processes that each inherit a copy of it.  All cross-request
+state (probe cache, plan cache, fault injector bookkeeping) is owned
+by the pipeline and already safe for concurrent callers.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Tests for the observability layer: timers, tracer, sinks, rendering."""
 
 import json
+import pickle
 
 import pytest
 
@@ -135,6 +136,20 @@ class TestTracer:
         assert report["counters"]["n"] == 2
         assert report["phases"]["p"] == 0.1
         assert len(report["probes"]) == 1
+
+    def test_pickle_round_trip_keeps_tallies_and_a_working_lock(self):
+        # Forked batch workers send their request's tracer home.
+        tracer = Tracer()
+        tracer.count("n", 3)
+        tracer.timer.add("p", 0.25)
+        tracer.record_probe(_probe())
+        copy = pickle.loads(pickle.dumps(tracer))
+        assert copy.report() == tracer.report()
+        assert copy.timer.entries == tracer.timer.entries
+        copy.count("n")
+        copy.timer.add("p", 0.25)
+        assert copy.counters["n"] == 4 and copy.timer.seconds["p"] == 0.5
+        assert tracer.counters["n"] == 3  # the copy shares no state
 
 
 class TestAsTracer:
