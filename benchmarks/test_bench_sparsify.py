@@ -6,8 +6,7 @@ instance (quarter rounds probe ascending targets, so later probes of a
 round find smaller-budget tables to warm-seed from):
 
 * **baseline** — ``sparsify=False`` with a cold-only probe cache: the
-  dense clamped fill the library shipped before sparsification
-  (``--no-sparsify`` replays exactly this);
+  dense clamped fill the library shipped before sparsification;
 * **sparse+warm** — ``sparsify=True`` with table-delta warm starts
   (:class:`~repro.core.probe_cache.ProbeCache` ``warm_start=True``):
   box passes over the dominance-pruned maximal subset plus closure

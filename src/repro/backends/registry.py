@@ -66,8 +66,7 @@ class BackendSpec:
     #: True when the factory accepts a ``sparsify=`` keyword — the
     #: backend can fill over the dominance-pruned configuration set
     #: (:mod:`repro.core.sparsify`) with unchanged results.  The
-    #: service pipeline and the CLI use this to honour
-    #: ``--no-sparsify`` and the per-request knob.
+    #: sparsify-equivalence suite runs every such backend both ways.
     sparsify_aware: bool = False
 
     def __post_init__(self) -> None:

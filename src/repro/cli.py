@@ -92,14 +92,6 @@ def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         help="per-probe wall-clock deadline; probes over it raise "
              "ProbeTimeoutError (retried as transient)",
     )
-    parser.add_argument(
-        "--no-sparsify", action="store_true",
-        help="disable configuration sparsification (dominance pruning) "
-             "and probe-cache warm starts on sparsify-aware backends; "
-             "the escape hatch that replays every DP fill dense and "
-             "cold, bit-identical to the pre-sparsify library "
-             "(docs/PERFORMANCE.md)",
-    )
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,14 +135,13 @@ def _modelled(inst: Instance, args: argparse.Namespace) -> Instance:
     )
 
 
-def _resilience_from_args(args: argparse.Namespace):
-    """Build the resilience policy from the shared flags; ``None`` if unset."""
-    from repro.resilience import (
-        AdmissionController,
-        FaultInjector,
-        ResiliencePolicy,
-        RetryPolicy,
-    )
+def _faults_and_retry(args: argparse.Namespace):
+    """The fault injector and retry policy the shared flags ask for.
+
+    Either may be ``None``; every front door hands both to
+    :func:`~repro.service.pipeline.build_resilience`.
+    """
+    from repro.resilience import FaultInjector, RetryPolicy
 
     faults = (
         FaultInjector.from_spec(args.inject_faults)
@@ -158,26 +149,7 @@ def _resilience_from_args(args: argparse.Namespace):
         else None
     )
     retry = RetryPolicy(max_attempts=args.retries) if args.retries else None
-    if faults is not None and retry is None:
-        retry = RetryPolicy()
-    admission = (
-        AdmissionController(args.memory_budget)
-        if args.memory_budget is not None
-        else None
-    )
-    if (
-        faults is None
-        and retry is None
-        and args.probe_deadline is None
-        and admission is None
-    ):
-        return None
-    return ResiliencePolicy(
-        faults=faults,
-        retry=retry,
-        deadline_s=args.probe_deadline,
-        admission=admission,
-    )
+    return faults, retry
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,13 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "selection per probe; clamps large fills at the machine "
              "budget), 'sweep', 'reference', 'fallback', or a simulated "
              "engine such as 'serial', 'omp-28', 'gpu-dim6', 'hybrid'",
-    )
-    p_sched.add_argument(
-        "--parallel-probes", type=int, default=None, metavar="N",
-        help="run each search round's probes on N host threads (real "
-             "concurrency; pairs naturally with --search quarter, whose "
-             "rounds probe four targets).  Ignored for simulated "
-             "engines, whose concurrency is modelled instead",
     )
     p_sched.add_argument(
         "--baselines", action="store_true", help="also run LPT and MULTIFIT"
@@ -378,57 +343,41 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         print(f"error: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID_INSTANCE
 
-    from repro.backends import get_spec, resolve
-    from repro.core.executor import ParallelHostExecutor, default_executor
-    from repro.errors import (
-        BackendError,
-        MemoryBudgetExceeded,
-        ReproError,
-    )
+    from repro.backends import get_spec
+    from repro.core.probe_cache import ProbeCache
+    from repro.errors import BackendError, MemoryBudgetExceeded, ReproError
+    from repro.service.batch import BatchRequest
+    from repro.service.pipeline import ProbePipeline, build_resilience
 
     try:
-        resilience = _resilience_from_args(args)
-    except InvalidInstanceError as exc:
+        faults, retry = _faults_and_retry(args)
+        resilience, faults = build_resilience(
+            faults=faults,
+            retry=retry,
+            deadline_s=args.probe_deadline,
+            memory_budget_bytes=args.memory_budget,
+        )
+        # The batch and daemon request path, with failures raised (and
+        # mapped to exit codes below) instead of degraded.
+        pipeline = ProbePipeline(
+            backend=args.backend,
+            cache=ProbeCache() if args.cache else None,
+            resilience=resilience,
+            faults=faults,
+            degrade=False,
+        )
+    except (BackendError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    request = BatchRequest(instance=inst, eps=args.eps, search=args.search)
     try:
-        spec = get_spec(args.backend)
-        resolve_kwargs = {}
-        if args.no_sparsify and spec.sparsify_aware:
-            resolve_kwargs["sparsify"] = False
-        solver = resolve(args.backend, **resolve_kwargs)
+        answer, tracer = pipeline.run(request)
     except BackendError as exc:
+        # A fallback chain member the registry cannot resolve: the
+        # pipeline builds the solver when the request runs.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    cache = tracer = None
-    if args.cache:
-        from repro.core.probe_cache import ProbeCache
-
-        # --no-sparsify promises the dense cold replay, so the cache
-        # must not seed warm tables either.
-        cache = ProbeCache(warm_start=not args.no_sparsify)
-    if args.profile or args.trace_json:
-        from repro.observability import Tracer
-
-        tracer = Tracer()
-
-    if args.parallel_probes and not spec.simulated:
-        executor = ParallelHostExecutor(
-            workers=args.parallel_probes, resilience=resilience
-        )
-    else:
-        executor = default_executor(solver, resilience=resilience)
-    from repro.service.pipeline import schedule_request
-
-    try:
-        # The request paths' answer (certify at LB, then the best
-        # polished schedule), shared with BatchScheduler and the daemon.
-        result = schedule_request(
-            inst, eps=args.eps, search=args.search, dp_solver=solver,
-            cache=cache, trace=tracer, executor=executor,
-        )
     except MemoryBudgetExceeded as exc:
         print(f"error: memory budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -438,6 +387,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_BACKEND_FAILURE
+    result = answer.result
     print(f"instance: {inst}")
     print(
         f"PTAS(eps={args.eps}, {args.search}): makespan {result.makespan} "
@@ -447,18 +397,22 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     print(f"loads: {result.schedule.loads().tolist()}")
     if inst.model != "identical":
         print(f"completions: {result.schedule.completion_times().tolist()}")
+    spec = get_spec(args.backend)
     if spec.simulated:
+        rounds = int(tracer.counters.get("executor.rounds", 0))
         print(
-            f"backend {spec.name}: simulated {executor.elapsed_s * 1e3:.3f} ms "
-            f"({executor.rounds} rounds, {spec.concurrency} concurrency)"
+            f"backend {spec.name}: simulated {answer.simulated_s * 1e3:.3f} ms "
+            f"({rounds} rounds, {spec.concurrency} concurrency)"
         )
-    if tracer is not None and args.profile:
+    if faults is not None and faults.events:
+        print(f"faults injected: {len(faults.events)}")
+    if args.profile:
         from repro.observability import render_profile
 
         print(render_profile(tracer, title=f"profile ({args.search})"))
-        if cache is not None:
-            print(f"cache: {cache.stats}")
-    if tracer is not None and args.trace_json:
+        if pipeline.cache is not None:
+            print(f"cache: {pipeline.cache.stats}")
+    if args.trace_json:
         import json
 
         try:
@@ -497,7 +451,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         MemoryBudgetExceeded,
         ReproError,
     )
-    from repro.resilience import FaultInjector, RetryPolicy
     from repro.service.batch import BatchScheduler
 
     if args.requests < 1:
@@ -519,12 +472,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return EXIT_INVALID_INSTANCE
 
     try:
-        faults = (
-            FaultInjector.from_spec(args.inject_faults)
-            if args.inject_faults
-            else None
-        )
-        retry = RetryPolicy(max_attempts=args.retries) if args.retries else None
+        faults, retry = _faults_and_retry(args)
         scheduler = BatchScheduler(
             backend=args.backend,
             workers=args.workers,
@@ -534,7 +482,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             deadline_s=args.probe_deadline,
             memory_budget_bytes=args.memory_budget,
             degrade=not args.no_degrade,
-            sparsify=False if args.no_sparsify else None,
         )
     except (BackendError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -579,7 +526,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.errors import BackendError, InvalidInstanceError
-    from repro.resilience import FaultInjector, RetryPolicy, TenantQuota
+    from repro.resilience import TenantQuota
     from repro.service import LoadProfile, SchedulingService, run_load
 
     try:
@@ -604,12 +551,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             max_jobs_per_machine=args.max_jobs_per_machine,
         )
-        faults = (
-            FaultInjector.from_spec(args.inject_faults)
-            if args.inject_faults
-            else None
-        )
-        retry = RetryPolicy(max_attempts=args.retries) if args.retries else None
+        faults, retry = _faults_and_retry(args)
         quota = TenantQuota(args.quota) if args.quota is not None else None
         service = SchedulingService(
             backend=args.backend,
@@ -620,7 +562,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             retry=retry,
             deadline_s=args.probe_deadline,
             memory_budget_bytes=args.memory_budget,
-            sparsify=False if args.no_sparsify else None,
         )
     except (BackendError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ from repro.core.bisection import bisection_search
 from repro.core.quarter_split import quarter_split_search
 from repro.core.executor import (
     ConcurrentDeviceExecutor,
-    ParallelHostExecutor,
     ProbeExecutor,
     SequentialExecutor,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ProbeExecutor",
     "SequentialExecutor",
     "ConcurrentDeviceExecutor",
-    "ParallelHostExecutor",
     "AutoKernel",
     "SweepKernel",
     "choose_kernel",

@@ -283,7 +283,7 @@ def dp_vectorized(
             sum(counts) + 1 if clamp is None else min(sum(counts), clamp) + 2
         )
 
-    views = before = None
+    views = None
     if sparsify:
         if sparse_shifts is None:
             if sparse_configs is None:
@@ -300,7 +300,11 @@ def dp_vectorized(
             )
         shifts = sparse_shifts
         views = closure_views(table)
-        before = np.empty(shape, dtype=dtype)
+        if warm_init is not None:
+            # Close the seed: the round loop below stops on the first
+            # round whose box passes change nothing, which is a fixpoint
+            # only if each round starts from a downward-closed table.
+            run_closure_sweeps(views)
     elif shifts is None:
         if order is None:
             # Larger configurations first: they reach far cells in fewer
@@ -331,9 +335,7 @@ def dp_vectorized(
                 np.copyto(dst, cand, where=improved)
                 changed = True
         if views is not None:
-            np.copyto(before, table)
             run_closure_sweeps(views)
-            changed = changed or not np.array_equal(table, before)
         if early_accept and table[corner] <= min(machines, rounds):
             # Every stored value <= rounds is final: so are the corner
             # and the backtrack chain below it.

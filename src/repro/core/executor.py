@@ -29,22 +29,14 @@ have no log and charge nothing):
   otherwise — the standard bound, previously hard-coded in the GPU
   runner's ``_concurrent_time``.
 
-The accounting executors are deliberately *accounting-only*: probes
-execute in submission order in this process (the simulators model the
-hardware), so results are bit-identical whichever executor runs the
-search — only the charged time differs (tested).  The exception is
-:class:`ParallelHostExecutor`, which runs a round's probes on real
-host threads for the pure (non-simulated) kernels — numpy releases
-the GIL in the hot loops, so the quarter split's four probes genuinely
-overlap; results remain bit-identical because a round's probes are
-independent.
+The executors are deliberately *accounting-only*: probes execute in
+submission order in this process (the simulators model the hardware),
+so results are bit-identical whichever executor runs the search — only
+the charged time differs (tested).
 """
 
 from __future__ import annotations
 
-import contextvars
-import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.instance import Instance
@@ -206,103 +198,6 @@ class ConcurrentDeviceExecutor(_AccountingExecutor):
         return max(span, busy / self.warp_slots)
 
 
-class ParallelHostExecutor(_AccountingExecutor):
-    """Real host-thread concurrency for a round's probes.
-
-    The quarter split probes four targets per round; historically the
-    "concurrent" segments executed back to back and only the *charged*
-    time modelled overlap.  This executor genuinely overlaps them: each
-    probe runs on its own thread, and numpy releases the GIL inside
-    the slice/gather kernels that dominate a probe, so wall time per
-    round approaches the longest single probe instead of the sum
-    (asserted in tests).  Results stay bit-identical — probes of one
-    round are independent by construction (the searches only combine
-    their outcomes *after* the round), and the shared caches are
-    thread-safe with idempotent inserts.
-
-    Simulated engines are excluded by design: they are stateful
-    accumulators (``runs`` logs, simulated clocks) whose concurrency
-    is *modelled* by :class:`ConcurrentDeviceExecutor`, not real —
-    threading them would corrupt their accounting.  When the solver
-    exposes a ``runs`` log the round falls back to the sequential
-    in-order path with the sequential sum charge, preserving the
-    5-way interval-update semantics and the simulated-time accounting
-    unchanged.
-
-    Each worker inherits the submitting thread's ambient context
-    (:func:`contextvars.copy_context`), so an active tracer keeps
-    receiving counters from inside the probes; the tracer itself is
-    thread-safe.  Attributes ``last_round_wall_s`` and
-    ``last_probe_wall_s`` expose the most recent round's measured
-    wall times (the overlap evidence).
-    """
-
-    def __init__(
-        self,
-        workers: int = 4,
-        resilience: Optional["ResiliencePolicy"] = None,
-    ) -> None:
-        super().__init__(resilience=resilience)
-        if workers < 1:
-            raise InvalidInstanceError(
-                f"workers must be a positive integer, got {workers}"
-            )
-        self.workers = int(workers)
-        #: wall seconds of the most recent threaded round.
-        self.last_round_wall_s = 0.0
-        #: per-probe wall seconds of the most recent threaded round.
-        self.last_probe_wall_s: list[float] = []
-
-    def run_round(
-        self,
-        instance: Instance,
-        targets: Sequence[int],
-        eps: float,
-        dp_solver: DPSolver,
-        cache: Optional["ProbeCache"] = None,
-    ) -> list[ProbeResult]:
-        """Probe the round's targets on a thread pool (results in order)."""
-        if (
-            getattr(dp_solver, "runs", None) is not None
-            or len(targets) <= 1
-            or self.workers == 1
-        ):
-            return super().run_round(instance, targets, eps, dp_solver, cache=cache)
-
-        def timed(t: int) -> tuple[ProbeResult, float]:
-            start = time.perf_counter()
-            probe = self._probe(instance, t, eps, dp_solver, cache)
-            return probe, time.perf_counter() - start
-
-        round_start = time.perf_counter()
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(targets))
-        ) as pool:
-            futures = [
-                pool.submit(contextvars.copy_context().run, timed, t)
-                for t in targets
-            ]
-            try:
-                outcomes = [f.result() for f in futures]
-            except BaseException:
-                # One worker failed: cancel everything still queued and
-                # wait out the in-flight probes so no thread outlives the
-                # round, then surface the *original* failure (not a
-                # CancelledError from a sibling).
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        self.last_round_wall_s = time.perf_counter() - round_start
-        self.last_probe_wall_s = [wall for _, wall in outcomes]
-        self.rounds += 1
-        obs.count("executor.rounds")
-        obs.count("executor.parallel_rounds")
-        return [probe for probe, _ in outcomes]
-
-    def charge(self, runs: Sequence[SimulatedRun]) -> float:
-        """Sequential-fallback charge (threaded rounds bill wall time only)."""
-        return float(sum(r.simulated_s for r in runs))
-
-
 def default_executor(
     dp_solver: object, resilience: Optional["ResiliencePolicy"] = None
 ) -> _AccountingExecutor:
@@ -312,8 +207,8 @@ def default_executor(
     :class:`ConcurrentDeviceExecutor` — their search rounds genuinely
     overlap on the device — and every other backend (host engines,
     pure DP functions, the hybrid dispatcher) gets a
-    :class:`SequentialExecutor`.  Used by the runner and the CLI when
-    the caller does not choose explicitly.  ``resilience`` is threaded
+    :class:`SequentialExecutor`.  Used by the runner and the request
+    pipeline, which do not choose explicitly.  ``resilience`` is threaded
     through to whichever executor is built.
     """
     warp_slots = getattr(getattr(dp_solver, "spec", None), "warp_slots", None)

@@ -5,10 +5,9 @@ is divided into four contiguous segments; each segment contributes its
 own midpoint target ``T_p`` and all four are probed *concurrently* (on
 the GPU via four Hyper-Q process queues — here the
 :class:`~repro.core.executor.ConcurrentDeviceExecutor` models that
-concurrency for the simulated engines, and the
-:class:`~repro.core.executor.ParallelHostExecutor` realises it for the
-pure host kernels, genuinely overlapping the four probes on a thread
-pool; the search logic below is hardware-agnostic).
+concurrency for the simulated engines, while the pure host kernels
+probe the four targets back to back; the search logic below is
+hardware-agnostic).
 
 With four probe outcomes the new interval falls into one of five
 sections (Algorithm 3, lines 13–25):

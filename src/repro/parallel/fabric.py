@@ -622,8 +622,7 @@ class BlockExecutor:
     shipments are cached (bounded LRU) and shipped to each worker at
     most once per plan.  ``close()`` releases the pool and every
     shipment but leaves the executor reusable: the next fill lazily
-    restarts it.  Thread-safe — concurrent probe threads
-    (:class:`~repro.core.executor.ParallelHostExecutor`) may share one
+    restarts it.  Thread-safe — concurrent probe threads may share one
     fabric.
 
     Supervision parameters (all default on):

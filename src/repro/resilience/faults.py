@@ -12,9 +12,9 @@ Design constraints, in order:
 * **Determinism under concurrency.**  Decisions are *keyed*, not
   sequenced: whether a check at ``(site, instance, target, attempt)``
   fires is a pure function of the injector's ``seed`` and that key
-  (via a BLAKE2 hash — never Python's salted ``hash``), so thread
-  interleavings in :class:`~repro.core.executor.ParallelHostExecutor`
-  or the batch pool cannot change which probes fail.  Two runs with
+  (via a BLAKE2 hash — never Python's salted ``hash``), so the
+  interleavings of the daemon's worker threads or the batch pool
+  cannot change which probes fail.  Two runs with
   the same seed inject the same faults (tested).
 * **Bounded per-probe damage.**  Each key fires at most
   ``max_failures`` times, then passes forever.  The cap is *per key*

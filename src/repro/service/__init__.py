@@ -4,7 +4,7 @@ The paper's algorithm solves one instance; a deployment serves a
 *stream* of them.  Two front-ends share one engine room:
 
 * :class:`~repro.service.batch.BatchScheduler` — the one-shot shape:
-  fan a batch of requests across a thread pool, share one
+  fan a batch of requests across forked worker processes, share one
   :class:`~repro.core.probe_cache.ProbeCache`, merge every request's
   trace into a deterministic aggregate report.
 * :class:`~repro.service.daemon.SchedulingService` — the always-on
@@ -14,9 +14,10 @@ The paper's algorithm solves one instance; a deployment serves a
   immediate LPT/MULTIFIT answer with its proven ratio, then the PTAS
   refinement on the same handle).  See ``docs/SERVICE.md``.
 
-Both drive the same :class:`~repro.service.pipeline.ProbePipeline`,
-so a request produces bit-identical results whichever front door it
-entered through (tested).  :mod:`repro.service.loadgen` is the
+Both, and CLI ``schedule``, drive the same
+:class:`~repro.service.pipeline.ProbePipeline`, so a request produces
+bit-identical results whichever front door it entered through
+(tested).  :mod:`repro.service.loadgen` is the
 open-loop Poisson load harness behind ``python -m repro serve`` and
 ``benchmarks/test_bench_service.py``.
 """
@@ -24,8 +25,8 @@ open-loop Poisson load harness behind ``python -m repro serve`` and
 from importlib import import_module
 
 #: public name -> the submodule defining it.  Imported on first use, so
-#: loading one submodule (CLI ``schedule`` needs only the pipeline)
-#: does not pull in the daemon's asyncio stack.
+#: loading one submodule (CLI ``schedule`` needs only the pipeline and
+#: the batch request types) does not pull in the daemon's asyncio stack.
 _EXPORTS = {
     "BatchScheduler": "batch",
     "BatchRequest": "batch",

@@ -266,13 +266,6 @@ class BatchScheduler:
         served a bounded LPT/MULTIFIT baseline answer tagged
         ``degraded=True`` instead of aborting the batch — N requests
         always produce N results.  ``False`` re-raises the failure.
-    sparsify:
-        Configuration-sparsification override (see
-        :mod:`repro.core.sparsify`): ``None`` (default) keeps each
-        backend's own default, ``True``/``False`` forces the knob on
-        every sparsify-aware solver the batch resolves.  ``False``
-        also disables the probe cache's warm starts so the batch
-        replays dense fills exactly (the CLI's ``--no-sparsify``).
 
     Example::
 
@@ -295,7 +288,6 @@ class BatchScheduler:
         deadline_s: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
         degrade: bool = True,
-        sparsify: Optional[bool] = None,
     ) -> None:
         if workers < 1:
             raise InvalidInstanceError(f"workers must be >= 1, got {workers}")
@@ -319,7 +311,6 @@ class BatchScheduler:
             resilience=resilience,
             faults=faults,
             degrade=bool(degrade),
-            sparsify=sparsify,
         )
         self.search = search
         self.eps = eps

@@ -211,11 +211,6 @@ class SchedulingService:
     faults / retry / deadline_s / memory_budget_bytes / degrade:
         The resilience knobs, forwarded to the shared pipeline (see
         ``docs/RELIABILITY.md``).
-    sparsify:
-        Configuration-sparsification override for sparsify-aware
-        backends (``None`` keeps backend defaults; ``False`` also
-        disables probe-cache warm starts) — identical semantics to
-        :class:`~repro.service.batch.BatchScheduler`.
     max_queue:
         Optional bound on the dispatch queue; at capacity, ``submit``
         back-pressures (awaits space) rather than rejecting.
@@ -234,7 +229,6 @@ class SchedulingService:
         deadline_s: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
         degrade: bool = True,
-        sparsify: Optional[bool] = None,
         max_queue: Optional[int] = None,
     ) -> None:
         if workers < 1:
@@ -251,7 +245,6 @@ class SchedulingService:
             resilience=resilience,
             faults=faults,
             degrade=bool(degrade),
-            sparsify=sparsify,
         )
         self.backend = backend
         self.workers = int(workers)

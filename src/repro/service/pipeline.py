@@ -1,17 +1,17 @@
 """The probe pipeline: one scheduling request, end to end.
 
-Both service front-ends — the one-shot :class:`~repro.service.batch.
-BatchScheduler` and the always-on :class:`~repro.service.daemon.
-SchedulingService` — execute requests exactly the same way: resolve a
-fresh solver from the registry, wire it to the shared probe/plan
-caches and the resilience policy, run :func:`schedule_request` under
-a per-request tracer, and degrade to a bounded LPT/MULTIFIT baseline
-when every backend fails.  :class:`ProbePipeline` is that shared
-engine-room, extracted so the two front-ends cannot drift: a request
-coalesced by the daemon and the same request in a batch produce
-bit-identical results because they literally run the same code.  CLI
-``schedule`` calls :func:`schedule_request` too, so all three front
-doors answer alike.
+All three front doors — CLI ``schedule``, the one-shot
+:class:`~repro.service.batch.BatchScheduler` and the always-on
+:class:`~repro.service.daemon.SchedulingService` — execute requests
+exactly the same way: resolve a fresh solver from the registry, wire
+it to the shared probe/plan caches and the resilience policy, run
+:func:`schedule_request` under a per-request tracer, and (for the two
+services) degrade to a bounded LPT/MULTIFIT baseline when every
+backend fails.  :class:`ProbePipeline` is that shared engine-room, so
+the front doors cannot drift: a request coalesced by the daemon, the
+same request in a batch and the same instance on the command line
+produce bit-identical results because they literally run the same
+code.
 
 The pipeline is synchronous and thread-safe — the daemon calls it
 from ``run_in_executor`` workers, and the batch scheduler from forked
@@ -161,15 +161,9 @@ class ProbePipeline:
     semantics): ``backend`` is the default registry name (requests may
     override it), ``cache``/``plan_cache`` are the cross-request reuse
     layers, ``resilience``/``faults`` the reliability knobs, and
-    ``degrade`` selects bounded-baseline answers over raised failures.
-
-    ``sparsify`` controls configuration sparsification
-    (:mod:`repro.core.sparsify`) on sparsify-aware backends: ``None``
-    keeps each backend's own default (the kernel backends prune,
-    engines don't), ``True``/``False`` forces the knob on every
-    resolved solver.  ``False`` additionally disables the probe
-    cache's table-delta warm starts so a ``--no-sparsify`` run replays
-    the dense fills bit-for-bit.
+    ``degrade`` selects bounded-baseline answers over raised failures
+    (CLI ``schedule`` turns it off and maps the failure to an exit
+    code).
     """
 
     backend: str = "auto"
@@ -178,14 +172,9 @@ class ProbePipeline:
     resilience: Optional[ResiliencePolicy] = None
     faults: Optional[FaultInjector] = None
     degrade: bool = True
-    sparsify: Optional[bool] = None
 
     def __post_init__(self) -> None:
         get_spec(self.backend)  # fail fast on unknown names, before any work
-        if self.sparsify is False and self.cache is not None:
-            # Warm tables are seeded from prior fills; a no-sparsify
-            # run promises the exact dense replay, so cold fills only.
-            self.cache.warm_start = False
 
     def run(self, request: "BatchRequest") -> Tuple["BatchRequestResult", Tracer]:
         """Execute one request with a fresh solver, executor, and tracer.
@@ -203,8 +192,6 @@ class ProbePipeline:
         kwargs: Dict[str, object] = {}
         if spec.plan_aware:
             kwargs["plan_cache"] = self.plan_cache
-        if spec.sparsify_aware and self.sparsify is not None:
-            kwargs["sparsify"] = bool(self.sparsify)
         if self.faults is not None and (
             name == "fallback" or name.startswith("fallback:")
         ):

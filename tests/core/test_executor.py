@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.core.dp_common import empty_dp_result
 from repro.core.executor import (
     ConcurrentDeviceExecutor,
-    ParallelHostExecutor,
     SequentialExecutor,
     default_executor,
 )
@@ -163,99 +162,6 @@ class TestRunRoundAccounting:
         assert ex.elapsed_s == 0.0 and ex.rounds == 1
 
 
-class TestParallelHostExecutor:
-    def _round_targets(self, inst):
-        # A quarter-split-shaped round: four distinct targets spread
-        # across the instance's feasible interval.
-        from repro.core.bounds import makespan_bounds
-
-        bounds = makespan_bounds(inst)
-        step = max(1, bounds.width // 5)
-        return [bounds.lower + (i + 1) * step for i in range(4)]
-
-    def test_results_bit_identical_to_sequential(self):
-        inst = uniform_instance(30, 5, low=5, high=80, seed=11)
-        targets = self._round_targets(inst)
-        seq = SequentialExecutor().run_round(inst, targets, 0.3, dp_vectorized)
-        par = ParallelHostExecutor(workers=4).run_round(
-            inst, targets, 0.3, dp_vectorized
-        )
-        assert [p.target for p in par] == [p.target for p in seq]
-        assert [p.accepted for p in par] == [p.accepted for p in seq]
-        for p_par, p_seq in zip(par, seq):
-            if p_seq.accepted:
-                assert p_par.schedule.assignment == p_seq.schedule.assignment
-
-    def test_round_genuinely_overlaps(self):
-        # The acceptance criterion of the real-concurrency work: a
-        # four-probe round's wall time must be under the sum of its
-        # probes' individual wall times — impossible without overlap.
-        # A small eps makes each probe heavy enough (big tables, long
-        # numpy kernels with the GIL released) that thread overhead is
-        # noise against the overlap (~3x measured at this scale).
-        inst = uniform_instance(30, 5, low=5, high=100, seed=23)
-        ex = ParallelHostExecutor(workers=4)
-        ex.run_round(inst, self._round_targets(inst), 0.16, dp_vectorized)
-        assert len(ex.last_probe_wall_s) == 4
-        assert ex.last_round_wall_s < sum(ex.last_probe_wall_s)
-
-    def test_parallel_search_matches_sequential_search(self):
-        from repro.core.ptas import ptas_schedule
-
-        inst = uniform_instance(30, 5, low=5, high=80, seed=11)
-        reference = ptas_schedule(inst, eps=0.3, search="quarter")
-        result = ptas_schedule(
-            inst, eps=0.3, search="quarter",
-            executor=ParallelHostExecutor(workers=4),
-        )
-        assert result.final_target == reference.final_target
-        assert result.makespan == reference.makespan
-        assert result.schedule.assignment == reference.schedule.assignment
-
-    def test_simulated_engines_fall_back_to_sequential_accounting(self):
-        # Engines with a `runs` log are stateful accumulators: the
-        # executor must take the in-order path and charge the
-        # sequential sum, exactly like SequentialExecutor would.
-        inst = uniform_instance(20, 4, low=5, high=60, seed=3)
-        targets = self._round_targets(inst)
-        par_engine = OpenMPEngine(threads=16)
-        seq_engine = OpenMPEngine(threads=16)
-        par = ParallelHostExecutor(workers=4)
-        seq = SequentialExecutor()
-        par.run_round(inst, targets, 0.3, par_engine)
-        seq.run_round(inst, targets, 0.3, seq_engine)
-        assert par.elapsed_s == pytest.approx(seq.elapsed_s)
-        assert par.last_probe_wall_s == []  # threaded path never ran
-
-    def test_single_target_round_stays_sequential(self):
-        inst = uniform_instance(20, 4, low=5, high=60, seed=3)
-        ex = ParallelHostExecutor(workers=4)
-        from repro.core.bounds import makespan_bounds
-
-        probes = ex.run_round(
-            inst, [makespan_bounds(inst).upper], 0.3, dp_vectorized
-        )
-        assert len(probes) == 1 and probes[0].accepted
-        assert ex.last_probe_wall_s == []
-
-    def test_active_tracer_reaches_worker_threads(self):
-        from repro.observability import Tracer
-
-        inst = uniform_instance(20, 4, low=5, high=60, seed=3)
-        tracer = Tracer()
-        targets = self._round_targets(inst)
-        with tracer.activate():
-            ParallelHostExecutor(workers=4).run_round(
-                inst, targets, 0.3, dp_vectorized
-            )
-        assert tracer.counters.get("executor.parallel_rounds") == 1
-        assert len(tracer.probes) == len(targets)
-
-    def test_rejects_nonpositive_workers(self):
-        with pytest.raises(InvalidInstanceError):
-            ParallelHostExecutor(workers=0)
-
-
 class TestDefaultExecutor:
     def test_device_engine_gets_concurrent(self):
         ex = default_executor(GpuPartitionedEngine(dim=6))
@@ -271,7 +177,7 @@ class TestDefaultExecutor:
 
 
 class TestParallelWorkerFailure:
-    """Regression: a poisoned probe must not leak threads or mask errors."""
+    """Regression: a poisoned probe's own error propagates from the round."""
 
     class _Poisoned:
         """Solver that fails on exactly one target, succeeds elsewhere."""
@@ -285,37 +191,6 @@ class TestParallelWorkerFailure:
             from repro.core.dp_vectorized import dp_vectorized
 
             return dp_vectorized(counts, class_sizes, target, configs=configs)
-
-    def _poisoned_round(self, workers=4):
-        import threading
-
-        inst = uniform_instance(20, 4, low=5, high=60, seed=3)
-        from repro.core.bounds import makespan_bounds
-
-        bounds = makespan_bounds(inst)
-        step = max(1, bounds.width // 5)
-        targets = [bounds.lower + (i + 1) * step for i in range(4)]
-        solver = self._Poisoned(targets[1])
-        before = threading.active_count()
-        ex = ParallelHostExecutor(workers=workers)
-        with pytest.raises(MemoryError, match="poisoned fill"):
-            ex.run_round(inst, targets, 0.3, solver)
-        return before
-
-    def test_original_exception_propagates(self):
-        self._poisoned_round()
-
-    def test_no_leaked_threads(self):
-        import threading
-        import time
-
-        before = self._poisoned_round()
-        # The pool context manager shut down with cancel_futures; give
-        # any straggler a beat to exit, then require no thread growth.
-        deadline = time.time() + 5.0
-        while threading.active_count() > before and time.time() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() <= before
 
     def test_sequential_fallback_path_also_propagates(self):
         inst = uniform_instance(20, 4, low=5, high=60, seed=3)
@@ -335,13 +210,10 @@ class TestResilienceDispatch:
 
         inst = uniform_instance(24, 4, low=5, high=70, seed=7)
         reference = ptas_schedule(inst, eps=0.3)
-        for ex in (
-            SequentialExecutor(resilience=ResiliencePolicy()),
-            ParallelHostExecutor(workers=4, resilience=ResiliencePolicy()),
-        ):
-            result = ptas_schedule(inst, eps=0.3, executor=ex)
-            assert result.makespan == reference.makespan
-            assert result.final_target == reference.final_target
+        ex = SequentialExecutor(resilience=ResiliencePolicy())
+        result = ptas_schedule(inst, eps=0.3, executor=ex)
+        assert result.makespan == reference.makespan
+        assert result.final_target == reference.final_target
 
     def test_default_executor_threads_resilience_through(self):
         from repro.resilience import ResiliencePolicy

@@ -25,6 +25,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.configs import count_subconfigurations, enumerate_configurations
+from repro.core.dp_common import UNREACHABLE
+from repro.core.dp_reference import dp_reference
 from repro.core.dp_vectorized import dp_vectorized, seed_warm_table
 from repro.core.kernels import AutoKernel
 from repro.core.kernels.sweep import SweepKernel, dp_levelsweep
@@ -274,6 +276,24 @@ def test_warm_decision_fill_is_exact(probe, delta):
     )
     exact = dp_vectorized(counts, sizes, target + delta)
     assert np.array_equal(warm.table, exact.table)
+
+
+@pytest.mark.parametrize("machines", [None, 3])
+def test_sparse_fill_closes_a_non_closed_warm_seed(machines):
+    # Any upper-bound seed is a valid warm table, closed or not.  Here
+    # no box pass over the maximal configs {(2,1), (0,2)} improves the
+    # seed in round one; only the closure sweeps fix (1,0), (0,1) and
+    # (2,0), and only then can (1,2) and (2,2) be relaxed from them.
+    counts, sizes, target = (2, 2), (3, 5), 12
+    exact = dp_reference(counts, sizes, target).table
+    seed = exact.copy()
+    for cell in [(1, 0), (0, 1), (2, 0), (1, 2), (2, 2)]:
+        seed[cell] = UNREACHABLE
+    warm = dp_vectorized(
+        counts, sizes, target, machines=machines, sparsify=True,
+        warm_table=seed,
+    )
+    assert np.array_equal(warm.table, exact)
 
 
 def test_seed_warm_table_caps_and_preserves_origin():

@@ -227,9 +227,10 @@ class TestExitCodes:
         assert "backend failure" in capsys.readouterr().err
 
     def test_unknown_backend_stays_usage_error(self, capsys):
-        code = main(["schedule", "--machines", "2", "--times", "5", "6",
-                     "--backend", "no-such-backend"])
-        assert code == 2
+        for backend in ("no-such-backend", "fallback:auto,no-such-backend"):
+            code = main(["schedule", "--machines", "2", "--times", "5", "6",
+                         "--backend", backend])
+            assert code == 2, backend
 
     def test_byte_suffix_parsing(self):
         from repro.cli import parse_bytes
@@ -260,6 +261,26 @@ class TestResilienceFlags:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_fallback_member_fault_steps_down_like_batch(self, capsys):
+        # Poison only the chain's head member: the chain steps down,
+        # serves the unpoisoned answer, and the fault is counted exactly
+        # as `batch` counts it on the same instance.
+        spec = "seed=1,rate=1.0,kinds=oom,sites=dp.auto,max=1000000"
+        schedule = ["schedule", "--machines", "3", "--random", "10",
+                    "--seed", "0", "--backend", "fallback"]
+        assert main(schedule) == 0
+        clean = capsys.readouterr().out.splitlines()
+        assert main(schedule + ["--inject-faults", spec, "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:3] == clean[:3]
+        assert "resilience.fallback.recovered" in out
+        assert main(["batch", "--requests", "1", "--jobs", "10",
+                     "--machines", "3", "--seed", "0", "--backend",
+                     "fallback", "--inject-faults", spec]) == 0
+        injected = capsys.readouterr().out.splitlines()[-1]
+        assert injected.startswith("faults injected: ")
+        assert injected in out.splitlines()
 
     def test_bad_fault_spec_is_usage_error(self, capsys):
         code = main(["schedule", "--machines", "2", "--times", "5", "6",

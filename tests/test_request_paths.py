@@ -1,12 +1,14 @@
-"""Request paths stay in-process: no process pool, no ``/dev/shm``.
+"""Request paths answer alike and stay in-process: no fabric, no ``/dev/shm``.
 
 Every front end — the library, the registry, the batch scheduler, the
-daemon and the CLI — fills DP tables in the calling process.  The
-process-parallel fill fabric (:mod:`repro.parallel`) is a library layer
-no request path imports, so neither it nor ``multiprocessing``'s shared
-memory module may be loaded by importing the front ends or serving a
-default request.  The check runs in a fresh interpreter because other
-tests in the same pytest run import the fabric.
+daemon and CLI ``schedule`` — answers through the same request
+pipeline, so one instance gets the same makespan and machine loads from
+each.  The process-parallel fill fabric (:mod:`repro.parallel`) is a
+library layer no request path imports, so neither it nor
+``multiprocessing``'s shared memory module may be loaded by importing
+the front ends or serving a default request.  The check runs in a
+fresh interpreter because other tests in the same pytest run import
+the fabric.
 """
 
 import json
@@ -19,6 +21,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 _SCRIPT = r"""
 import asyncio
+import contextlib
+import io
 import json
 import sys
 
@@ -43,7 +47,19 @@ async def serve():
 
 
 answer = asyncio.run(serve())
-assert answer.makespan == report.results[0].makespan
+batch = report.results[0].result.schedule
+assert answer.makespan == batch.makespan
+assert answer.schedule.loads().tolist() == batch.loads().tolist()
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = repro.cli.main(
+        ["schedule", "--machines", "3", "--times", *map(str, inst.times)]
+    )
+assert code == 0, out.getvalue()
+lines = out.getvalue().splitlines()
+assert f"makespan {batch.makespan} " in lines[1], lines
+assert lines[2] == f"loads: {batch.loads().tolist()}", lines
 print(json.dumps(sorted(
     name for name in sys.modules
     if name == "repro.parallel"
