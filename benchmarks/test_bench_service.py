@@ -10,8 +10,9 @@ the run also measures how much work request coalescing absorbs.
 Headline numbers — bound-stage and refined-stage latency percentiles
 (p50/p95/p99), the coalescing hit rate, and the bound-first contract
 (must be violation-free) — land in
-``benchmarks/results/BENCH_service.json``; docs/PERFORMANCE.md and
-docs/SERVICE.md explain how to read them.
+``benchmarks/results/BENCH_service.json`` (``REPRO_BENCH_FULL=1``; a
+reduced run writes ``BENCH_service-reduced.json``); docs/PERFORMANCE.md
+and docs/SERVICE.md explain how to read them.
 
 Run: ``pytest benchmarks/test_bench_service.py --benchmark-only``
 """
@@ -116,9 +117,10 @@ def test_service_latency_under_load(benchmark, results_dir, full):
         "wall_s": round(report.wall_s, 4),
         "cache": report.stats["cache"],
     }
-    (results_dir / "BENCH_service.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    # Reduced runs write a git-ignored ``-reduced`` twin, so a smoke run
+    # never overwrites the committed full-mode figures.
+    name = "BENCH_service.json" if full else "BENCH_service-reduced.json"
+    (results_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
 
     benchmark.extra_info.update(
         bound_p99_ms=latency["bound"]["p99_ms"],

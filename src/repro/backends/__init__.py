@@ -112,7 +112,6 @@ def _register_defaults() -> None:
             description="plan-driven single-sweep DP (one pass per anti-diagonal level)",
             aliases=("levelsweep", "dp-sweep"),
             plan_aware=True,
-            sparsify_aware=True,
         )
     )
     register(
@@ -127,7 +126,6 @@ def _register_defaults() -> None:
             ),
             aliases=("kernel-auto",),
             plan_aware=True,
-            sparsify_aware=True,
         )
     )
     register(
@@ -138,7 +136,6 @@ def _register_defaults() -> None:
             concurrency="none",
             description="serial PTAS on one simulated CPU core",
             plan_aware=True,
-            sparsify_aware=True,
         )
     )
     for threads in (16, 28):
@@ -153,7 +150,6 @@ def _register_defaults() -> None:
                 description=f"OpenMP baseline on {threads} simulated threads",
                 aliases=(f"openmp-{threads}",),
                 plan_aware=True,
-                    sparsify_aware=True,
             )
         )
     register(
@@ -164,7 +160,6 @@ def _register_defaults() -> None:
             concurrency="device-streams",
             description="unpartitioned GPU port (the ~100x-slower strawman)",
             plan_aware=True,
-            sparsify_aware=True,
         )
     )
     for dim in (3, 6, 9):
@@ -176,7 +171,6 @@ def _register_defaults() -> None:
                 concurrency="device-streams",
                 description=f"data-partitioned GPU engine, {dim} partitioned dims",
                 plan_aware=True,
-                    sparsify_aware=True,
             )
         )
     register(
@@ -187,7 +181,6 @@ def _register_defaults() -> None:
             concurrency="host-threads",
             description="per-probe CPU/GPU dispatch by predicted cost",
             plan_aware=True,
-            sparsify_aware=True,
         )
     )
     def _fallback_factory(members):
@@ -214,17 +207,20 @@ def _register_defaults() -> None:
             plan_aware=True,
         )
     )
-    register_family(
-        r"fallback:(.+)",
-        lambda m: BackendSpec(
+    def _fallback_spec(m):
+        members = tuple(m.group(1).split(","))
+        for name in members:
+            get_spec(name)  # an unknown member is an unknown backend
+        return BackendSpec(
             name=f"fallback:{m.group(1)}",
-            factory=_fallback_factory(tuple(m.group(1).split(","))),
+            factory=_fallback_factory(members),
             simulated=False,
             concurrency="none",
-            description=f"resilient chain {'→'.join(m.group(1).split(','))}",
+            description=f"resilient chain {'→'.join(members)}",
             plan_aware=True,
-        ),
-    )
+        )
+
+    register_family(r"fallback:(.+)", _fallback_spec)
     register_family(
         r"(?:omp|openmp)-(\d+)",
         lambda m: BackendSpec(
@@ -236,7 +232,6 @@ def _register_defaults() -> None:
             concurrency="host-threads",
             description=f"OpenMP baseline on {int(m.group(1))} simulated threads",
             plan_aware=True,
-            sparsify_aware=True,
         ),
     )
     register_family(
@@ -250,7 +245,6 @@ def _register_defaults() -> None:
             concurrency="device-streams",
             description=f"data-partitioned GPU engine, {int(m.group(1))} partitioned dims",
             plan_aware=True,
-            sparsify_aware=True,
         ),
     )
     register_family(
@@ -264,7 +258,6 @@ def _register_defaults() -> None:
             concurrency="host-threads",
             description="per-probe CPU/GPU dispatch by predicted cost",
             plan_aware=True,
-            sparsify_aware=True,
         ),
     )
 

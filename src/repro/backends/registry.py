@@ -63,11 +63,6 @@ class BackendSpec:
     #: :class:`~repro.core.probe_cache.PlanCache`).  The batch service
     #: and the runners use this to inject a shared plan cache.
     plan_aware: bool = False
-    #: True when the factory accepts a ``sparsify=`` keyword — the
-    #: backend can fill over the dominance-pruned configuration set
-    #: (:mod:`repro.core.sparsify`) with unchanged results.  The
-    #: sparsify-equivalence suite runs every such backend both ways.
-    sparsify_aware: bool = False
 
     def __post_init__(self) -> None:
         if self.concurrency not in CONCURRENCY_MODELS:

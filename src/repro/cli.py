@@ -373,11 +373,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     request = BatchRequest(instance=inst, eps=args.eps, search=args.search)
     try:
         answer, tracer = pipeline.run(request)
-    except BackendError as exc:
-        # A fallback chain member the registry cannot resolve: the
-        # pipeline builds the solver when the request runs.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MemoryBudgetExceeded as exc:
         print(f"error: memory budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

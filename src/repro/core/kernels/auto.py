@@ -202,21 +202,18 @@ class AutoKernel:
     fill_fabric:
         Optional :class:`~repro.parallel.fabric.BlockExecutor`; opens
         the library-only ``hostpar`` route for large exact fills.
-    sparsify:
-        Dominance-prune the configuration set before filling (default
-        on — ``auto`` is a decision-mode front-end).  Every route
-        honours it: decision/vectorized via sparse box passes with
-        closure sweeps, the sweep and the fabric via clipped gathers.
-        Results stay
-        bit-identical either way (see :mod:`repro.core.sparsify`).
+
+    The decision/vectorized and hostpar routes always fill over the
+    dominance-pruned configuration set (:mod:`repro.core.sparsify`):
+    sparse box passes with closure sweeps, or clipped gathers on the
+    fabric.  The over-budget sweep fills dense.  Tables are
+    bit-identical to the dense fill either way.
     """
 
     #: the probe cache may seed this kernel's fills from nearby-budget
     #: cached tables (decision/vectorized routes; other routes ignore
     #: the seed and fill cold, which is always sound).
     supports_warm_start = True
-    #: the probe driver may toggle dominance pruning per fill.
-    supports_sparsify = True
 
     def __init__(
         self,
@@ -224,13 +221,11 @@ class AutoKernel:
         machines: Optional[int] = None,
         memory_budget_bytes: Optional[int] = None,
         fill_fabric=None,
-        sparsify: bool = True,
     ) -> None:
         self.plan_cache = plan_cache
         self.machines = None if machines is None else int(machines)
         self.memory_budget_bytes = memory_budget_bytes
         self.fill_fabric = fill_fabric
-        self.sparsify = bool(sparsify)
 
     def bind_machines(self, machines: Optional[int]) -> "AutoKernel":
         """A copy of this kernel that knows the machine budget.
@@ -244,7 +239,6 @@ class AutoKernel:
             machines=machines,
             memory_budget_bytes=self.memory_budget_bytes,
             fill_fabric=self.fill_fabric,
-            sparsify=self.sparsify,
         )
 
     @property
@@ -254,8 +248,7 @@ class AutoKernel:
         A bound auto kernel *may* produce clamped tables, so its
         results are isolated per budget; exact tables cached under the
         token remain valid for that budget (they answer strictly
-        more).  ``sparsify`` does not enter the token — sparse and
-        dense fills share one fixpoint.
+        more).
         """
         if self.machines is None:
             return None
@@ -283,7 +276,6 @@ class AutoKernel:
         target: int,
         configs: Optional[np.ndarray] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
         warm_table: Optional[np.ndarray] = None,
     ) -> DPResult:
         counts = tuple(int(c) for c in counts)
@@ -297,7 +289,6 @@ class AutoKernel:
             )
         if configs is None:
             configs = enumerate_configurations(class_sizes, counts, target)
-        effective = self.sparsify if sparsify is None else bool(sparsify)
         choice = choose_kernel(
             counts,
             class_sizes,
@@ -317,7 +308,7 @@ class AutoKernel:
             # The fabric fills cold: a warm seed would have to ship
             # through shared memory for no measured win, so it is
             # simply ignored here — filling cold is always sound.
-            flat = self.fill_fabric.fill(plan, sparsify=effective)
+            flat = self.fill_fabric.fill(plan, sparsify=True)
             return DPResult(
                 table=flat.reshape(plan.geometry.shape), configs=configs
             )
@@ -328,30 +319,18 @@ class AutoKernel:
                 target,
                 configs=configs,
                 plan=plan,
-                sparsify=effective,
             )
-        sparse = sparse_sel = None
-        order = shifts = None
-        if effective:
-            sparse = plan.sparse_configs
-            sparse_sel = plan.sparse_shift_slices
-        else:
-            order = plan.relaxation_order
-            shifts = plan.shift_slices
         return dp_vectorized(
             counts,
             class_sizes,
             target,
             configs=configs,
-            order=order,
-            shifts=shifts,
-            sparsify=effective,
-            sparse_configs=sparse,
-            sparse_shifts=sparse_sel,
+            sparse_configs=plan.sparse_configs,
+            sparse_shifts=plan.sparse_shift_slices,
             warm_table=warm_table,
             machines=self.machines if choice.kernel == "decision" else None,
         )
 
     def __repr__(self) -> str:
         bound = "unbound" if self.machines is None else f"m={self.machines}"
-        return f"AutoKernel({bound}, sparsify={self.sparsify})"
+        return f"AutoKernel({bound})"

@@ -56,7 +56,6 @@ def dp_levelsweep(
     plan: Optional[ProbePlan] = None,
     plan_cache=None,
     model_token: Optional[tuple] = None,
-    sparsify: bool = False,
 ) -> DPResult:
     """Fill the DP-table in one pass over the plan's level schedule.
 
@@ -65,16 +64,6 @@ def dp_levelsweep(
     level schedule; its configuration set is authoritative when both
     ``plan`` and ``configs`` are given.  Bit-identical to
     :func:`~repro.core.dp_reference.dp_reference` (tested).
-
-    ``sparsify=True`` sweeps the plan's dominance-pruned
-    :attr:`~repro.dptable.plan.ProbePlan.sparse_configs` under the
-    clipped cover recurrence (see :mod:`repro.core.sparsify`): the
-    predecessor of ``u`` under ``c`` is ``clip(u - c)``, which sits at
-    a strictly lower level whenever the supports intersect, so the
-    single topological pass stays exact and the resulting table is
-    bit-identical to the full-set sweep.  The returned
-    :class:`~repro.core.dp_common.DPResult` always carries the *full*
-    configuration set — backtracking subtracts exactly.
     """
     counts = tuple(int(c) for c in counts)
     if len(counts) != len(class_sizes):
@@ -116,8 +105,7 @@ def dp_levelsweep(
     schedule = plan.level_schedule
     cells = geometry.all_cells()
     strides = np.asarray(geometry.strides, dtype=np.int64)
-    fill_configs = plan.sparse_configs if sparsify else configs
-    config_flat = fill_configs @ strides
+    config_flat = configs @ strides
 
     passes = 0
     for level in range(1, schedule.num_levels):
@@ -126,23 +114,13 @@ def dp_levelsweep(
             continue
         coords = cells[group]
         best = np.full(group.size, unreach, dtype=dtype)
-        for idx in range(fill_configs.shape[0]):
+        for idx in range(configs.shape[0]):
             passes += 1
-            if sparsify:
-                prev_coords = np.maximum(coords - fill_configs[idx], 0)
-                # Disjoint-support configurations clip back to the cell
-                # itself — they cover nothing and must not self-depend.
-                ok = (prev_coords != coords).any(axis=1)
-                if not ok.any():
-                    continue
-                sel = np.flatnonzero(ok)
-                prev = prev_coords[sel] @ strides
-            else:
-                ok = (coords >= fill_configs[idx]).all(axis=1)
-                if not ok.any():
-                    continue
-                sel = np.flatnonzero(ok)
-                prev = group[sel] - int(config_flat[idx])
+            ok = (coords >= configs[idx]).all(axis=1)
+            if not ok.any():
+                continue
+            sel = np.flatnonzero(ok)
+            prev = group[sel] - int(config_flat[idx])
             best[sel] = np.minimum(best[sel], table[prev])
         reachable = best < unreach
         if reachable.any():
@@ -161,16 +139,10 @@ class SweepKernel:
 
     Carries the plan cache so every probe that rounds to a known shape
     reuses the cached level schedule instead of re-deriving it.
-    ``sparsify`` defaults off: the sweep exists for footprint, and the
-    clipped gather neither shrinks per-level temporaries nor is it the
-    sweep's bottleneck.
     """
 
-    supports_sparsify = True
-
-    def __init__(self, plan_cache=None, sparsify: bool = False) -> None:
+    def __init__(self, plan_cache=None) -> None:
         self.plan_cache = plan_cache
-        self.sparsify = bool(sparsify)
 
     def __call__(
         self,
@@ -179,9 +151,7 @@ class SweepKernel:
         target: int,
         configs: Optional[np.ndarray] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> DPResult:
-        effective = self.sparsify if sparsify is None else bool(sparsify)
         return dp_levelsweep(
             counts,
             class_sizes,
@@ -189,8 +159,4 @@ class SweepKernel:
             configs=configs,
             plan_cache=self.plan_cache,
             model_token=model_token,
-            sparsify=effective,
         )
-
-    def __repr__(self) -> str:
-        return f"SweepKernel(sparsify={self.sparsify})"

@@ -199,24 +199,15 @@ class NullProbeCache:
     ) -> DPResult:
         """Run ``solver`` directly (it enumerates configurations itself)."""
         if _is_default_fill(rounded, fill):
-            return solver(
-                rounded.counts,
-                rounded.class_sizes,
-                rounded.target,
-                **_solver_kwargs(fill, solver),
-            )
+            return solver(rounded.counts, rounded.class_sizes, rounded.target)
         configs = fill.enumerate()
         return solver(
             fill.counts,
             fill.class_sizes,
             fill.budget,
             configs=configs,
-            **_solver_kwargs(fill, solver),
+            **_fill_kwargs(fill),
         )
-
-    def geometry(self, counts: Tuple[int, ...]) -> TableGeometry:
-        """Uncached :meth:`TableGeometry.from_counts`."""
-        return TableGeometry.from_counts(tuple(int(c) for c in counts))
 
     def begin_probe(self) -> None:
         """No per-probe state to reset."""
@@ -287,26 +278,6 @@ def _fill_key(rounded: RoundedInstance, fill: "FillSpec"):
 def _fill_kwargs(fill: "FillSpec") -> Dict[str, object]:
     """Extra solver kwargs a fill demands (the plan token, when set)."""
     return {} if fill.token is None else {"model_token": fill.token}
-
-
-def _solver_kwargs(
-    fill: Optional["FillSpec"], solver
-) -> Dict[str, object]:
-    """Solver kwargs for one fill, shaped to what ``solver`` accepts.
-
-    The plan token passes through whenever set.  A fill that opted out
-    of sparsification (``FillSpec.sparsify=False`` — a model whose
-    configuration set is not downward closed) forces ``sparsify=False``
-    onto solvers that advertise ``supports_sparsify``; solvers without
-    the attribute never prune, so they get the historical call shape
-    untouched.
-    """
-    if fill is None:
-        return {}
-    kwargs = _fill_kwargs(fill)
-    if not fill.sparsify and getattr(solver, "supports_sparsify", False):
-        kwargs["sparsify"] = False
-    return kwargs
 
 
 def _warm_family(base_key) -> tuple:
@@ -384,33 +355,30 @@ class ProbeCache:
         long-lived batch service: DP entries hold full tables, so an
         unbounded cache fed adversarial probe mixes grows without
         limit.
-    warm_start:
-        When ``True`` (default), a DP miss whose solver advertises
-        ``supports_warm_start`` is seeded from the cached table of the
-        *nearest smaller scaled budget* in the same key family (same
-        class indices, counts, job cap, and solver token): that
-        table's values are pointwise upper bounds on the new fill's
-        fixpoint, so relaxing from them converges to the exact same
-        table as a cold fill while skipping the rounds that rebuilt
-        the shared structure.  Warm results are stored under a
-        ``("warm", token)`` key extension — a warm table is the full
-        no-change fixpoint while a cold decision fill may have
-        early-accepted with non-final interior cells, so the two must
-        never alias.  Lookups consult the cold key first, then the
-        warm key (a warm table answers strictly more).
+
+    A DP miss whose solver advertises ``supports_warm_start`` is
+    seeded from the cached table of the *nearest smaller scaled
+    budget* in the same key family (same class indices, counts, job
+    cap, and solver token): that table's values are pointwise upper
+    bounds on the new fill's fixpoint, so relaxing from them converges
+    to the exact same table as a cold fill while skipping the rounds
+    that rebuilt the shared structure.  Warm results are stored under
+    a ``("warm", token)`` key extension — a warm table is the full
+    no-change fixpoint while a cold decision fill may have
+    early-accepted with non-final interior cells, so the two must
+    never alias.  Lookups consult the cold key first, then the warm
+    key (a warm table answers strictly more).
     """
 
     def __init__(
         self,
         share_dp: bool = True,
         capacity: Optional[int] = 4096,
-        warm_start: bool = True,
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("ProbeCache capacity must be >= 1 (or None)")
         self.share_dp = share_dp
         self.capacity = capacity
-        self.warm_start = bool(warm_start)
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._rounding: "OrderedDict[Tuple[Instance, int, int], RoundedInstance]" = (
@@ -418,7 +386,6 @@ class ProbeCache:
         )
         self._configs: "OrderedDict[NormalizedKey, np.ndarray]" = OrderedDict()
         self._dp: "OrderedDict[Tuple[NormalizedKey, object], DPResult]" = OrderedDict()
-        self._geometry: "OrderedDict[Tuple[int, ...], TableGeometry]" = OrderedDict()
         #: warm-start index: (family, token) -> {scaled budget: dp key}.
         #: Entries are validated against ``_dp`` lazily (evictions there
         #: leave stale pointers here, pruned on the next lookup).
@@ -501,14 +468,13 @@ class ProbeCache:
                     rounded.class_sizes,
                     rounded.target,
                     configs=configs,
-                    **_solver_kwargs(fill, solver),
                 )
             return solver(
                 fill.counts,
                 fill.class_sizes,
                 fill.budget,
                 configs=configs,
-                **_solver_kwargs(fill, solver),
+                **_fill_kwargs(fill),
             )
         base_key = (
             normalized_probe_key(rounded) if default else _fill_key(rounded, fill)
@@ -524,13 +490,9 @@ class ProbeCache:
         hit = value is not _MISS
         if not hit:
             configs = self.configurations(rounded, fill=fill)
-            kwargs = _solver_kwargs(fill, solver)
+            kwargs = {} if default else _fill_kwargs(fill)
             warm_table = None
-            if (
-                self.warm_start
-                and getattr(solver, "supports_warm_start", False)
-                and kwargs.get("sparsify") is not False
-            ):
+            if getattr(solver, "supports_warm_start", False):
                 warm_table = self._warm_source(base_key, token)
                 self._note("warmstart", warm_table is not None)
             if warm_table is not None:
@@ -592,18 +554,6 @@ class ProbeCache:
                 _warm_budget(base_key)
             ] = store_key
 
-    def geometry(self, counts: Tuple[int, ...]) -> TableGeometry:
-        """Memoized :meth:`TableGeometry.from_counts` (strides reuse)."""
-        counts = tuple(int(c) for c in counts)
-        value = self._lookup(self._geometry, counts)
-        hit = value is not _MISS
-        if not hit:
-            value = self._store(
-                "geometry", self._geometry, counts, TableGeometry.from_counts(counts)
-            )
-        self._note("geometry", hit)
-        return value
-
     # -- bookkeeping --------------------------------------------------------
 
     def _lookup(self, store: "OrderedDict", key: object) -> object:
@@ -654,17 +604,11 @@ class ProbeCache:
         self._rounding.clear()
         self._configs.clear()
         self._dp.clear()
-        self._geometry.clear()
         self._warm_index.clear()
 
     def __len__(self) -> int:
         """Total number of cached artifacts across all kinds."""
-        return (
-            len(self._rounding)
-            + len(self._configs)
-            + len(self._dp)
-            + len(self._geometry)
-        )
+        return len(self._rounding) + len(self._configs) + len(self._dp)
 
 
 def _require_configs_for_token(model_token: Optional[tuple], configs) -> None:
@@ -696,13 +640,10 @@ class NullPlanCache:
         configs: Optional[np.ndarray] = None,
         eager: bool = True,
         model_token: Optional[tuple] = None,
-        sparsify: bool = False,
     ) -> ProbePlan:
         """Uncached :func:`~repro.dptable.plan.build_probe_plan`."""
         _require_configs_for_token(model_token, configs)
-        return build_probe_plan(
-            counts, class_sizes, target, configs, eager=eager, sparsify=sparsify
-        )
+        return build_probe_plan(counts, class_sizes, target, configs, eager=eager)
 
     def clear(self) -> None:
         """Nothing cached, nothing to drop."""
@@ -748,10 +689,11 @@ class PlanCache:
         self.capacity = capacity
         self.stats = CacheStats()
         # The LRU reorder (move_to_end) plus eviction are not safe
-        # under the GIL alone; the parallel host executor's probe
-        # threads share this cache, so the bookkeeping takes a lock.
-        # Plan *construction* happens outside it (a concurrent
-        # double-miss builds one redundant plan, never corrupts).
+        # under the GIL alone, and the daemon runs concurrent requests
+        # on the event loop's thread pool against its pipeline's one
+        # plan cache, so the bookkeeping takes a lock.  Plan
+        # *construction* happens outside it (a concurrent double-miss
+        # builds one redundant plan, never corrupts).
         self._lock = threading.Lock()
         self._plans: "OrderedDict[tuple, ProbePlan]" = OrderedDict()
         #: normalized-signature aliases pointing into ``_plans`` keys.
@@ -770,7 +712,6 @@ class PlanCache:
         configs: Optional[np.ndarray] = None,
         eager: bool = True,
         model_token: Optional[tuple] = None,
-        sparsify: bool = False,
     ) -> ProbePlan:
         """The memoized plan for one probe (built on the first miss).
 
@@ -789,11 +730,7 @@ class PlanCache:
         Callers with a token must supply ``configs`` — the cache cannot
         enumerate a filtered set itself.
 
-        ``sparsify=True`` additionally wants the dominance-pruned
-        layers: with ``eager`` they are built (and shared) here, and
-        either way the lookup is tallied under the ``sparsify`` stats
-        kind (hit = the sparse layers were already materialised on the
-        plan).  A brand-new plan over an already-cached table *shape*
+        A brand-new plan over an already-cached table *shape*
         inherits that mate's level schedule — the schedule is a pure
         function of the shape — tallied as the ``warmstart`` kind.
         """
@@ -843,18 +780,7 @@ class PlanCache:
             if eager:
                 plan.level_schedule
                 plan.candidates
-                if sparsify:
-                    plan.sparse_configs
-                    plan.sparse_valid
-                else:
-                    plan.valid
-        if sparsify:
-            sparse_ready = "sparse_configs" in plan.__dict__
-            with self._lock:
-                self.stats.record("sparsify", sparse_ready)
-            if eager and not sparse_ready:
-                plan.sparse_configs
-                plan.sparse_valid
+                plan.valid
         with self._lock:
             # Register both signatures so config-keyed and target-keyed
             # lookups for the same structure converge on one plan object.

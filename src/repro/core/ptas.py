@@ -201,11 +201,9 @@ def probe_target(
     ``cache`` (a :class:`~repro.core.probe_cache.ProbeCache`) reuses
     rounding, configuration enumeration, and DP-tables across probes;
     the probe's outcome is bit-identical with or without it (tested).
-    Sparsify-aware solvers additionally fill over the dominance-pruned
-    configuration set (:mod:`repro.core.sparsify`) when the model's
-    :class:`~repro.models.base.FillSpec` permits it, and warm-capable
-    solvers may seed from a cached table at a nearby smaller target —
-    both preserve the feasibility verdict and the extracted schedule.
+    Warm-capable solvers may seed from a cached table at a nearby
+    smaller target, which preserves the feasibility verdict and the
+    extracted schedule.
     Phase timings and one :class:`~repro.observability.trace.ProbeTrace`
     flow to the ambient tracer when one is active
     (:mod:`repro.observability`).

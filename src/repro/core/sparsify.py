@@ -25,13 +25,11 @@ configurations that actually intersect ``u``'s support
 (``clip(u - c) != u``; disjoint-support configurations cover nothing
 and would self-depend).  The fixpoint of that recurrence over the
 maximal set is **bit-identical** to the exact full-set table — the
-kernels and engines exploit it via
-box passes plus downward-closure sweeps in
-:func:`repro.core.dp_vectorized.dp_vectorized` (for any maximal ``c``,
-``clip(u - c) = max(u, c) - c``, so monotone propagation recovers the
-clipped candidate from the exact box one) and
-the ``clipped=`` gather mode of
-:func:`repro.engines.base.fill_by_groups`.
+``auto`` kernel exploits it via box passes plus downward-closure
+sweeps in :func:`repro.core.dp_vectorized.dp_vectorized` (for any
+maximal ``c``, ``clip(u - c) = max(u, c) - c``, so monotone
+propagation recovers the clipped candidate from the exact box one),
+and via clipped gathers on the fill fabric.
 
 Plain maximal-only pruning under the *exact subtraction* recurrence is
 unsound — with ``counts=(3,)``, ``sizes=(1,)``, ``T=2`` the maximal

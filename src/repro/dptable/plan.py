@@ -321,38 +321,6 @@ class ProbePlan:
                 self.sparse_relaxation_order,
             )
 
-    @cached_property
-    def sparse_valid(self) -> np.ndarray:
-        """Contributing maximal configurations per cell (sparse work profile).
-
-        Under the clipped cover recurrence a maximal configuration
-        contributes at cell ``u`` unless its support is disjoint from
-        ``u``'s (then ``clip(u - c) == u`` and the pass is skipped), so
-        the count is ``|C_max|`` minus the disjoint tally — computed by
-        one small slab increment per configuration (the slab
-        ``u_j = 0`` for every ``j`` in the support).  The engines
-        charge their simulated sparse-mode work from this, mirroring
-        :attr:`valid`.
-        """
-        with _build_timer():
-            sparse = self.sparse_configs
-            if self.geometry.ndim == 0:
-                return _frozen(np.zeros(1, dtype=np.int64))
-            disjoint = np.zeros(self.geometry.shape, dtype=np.int64)
-            for cfg in sparse:
-                sel = tuple(
-                    slice(0, 1) if int(c) > 0 else slice(None) for c in cfg
-                )
-                disjoint[sel] += 1
-            return _frozen(
-                (int(sparse.shape[0]) - disjoint).reshape(-1)
-            )
-
-    @cached_property
-    def total_sparse_valid(self) -> int:
-        """Sum of sparse-mode work items over the whole table."""
-        return int(self.sparse_valid.sum())
-
     # -- work profile --------------------------------------------------------
 
     @cached_property
@@ -390,32 +358,21 @@ class ProbePlan:
         """Sum of SetOPT work items over the whole table."""
         return int(self.valid.sum())
 
-    def work_valid(self, sparsify: bool = False) -> np.ndarray:
-        """The per-cell work profile a fill actually executes.
-
-        :attr:`valid` for the dense fill, :attr:`sparse_valid` for the
-        dominance-pruned one — the selector every engine threads its
-        ``sparsify`` knob through so simulated time always reflects the
-        configuration set that really ran.
-        """
-        return self.sparse_valid if sparsify else self.valid
-
-    def thread_ops(self, costs, sparsify: bool = False) -> np.ndarray:
+    def thread_ops(self, costs) -> np.ndarray:
         """Per-cell compute ops *excluding* the locate scan.
 
         ``costs`` is any object with ``candidate_ops`` and
         ``setopt_ops`` attributes (a
         :class:`~repro.engines.costmodel.CostConstants`); the scan is
         charged separately because its scope and medium are engine
-        decisions, not plan structure.  ``sparsify`` charges the
-        dominance-pruned work profile instead of the dense one.
+        decisions, not plan structure.
         """
         return (
             self.candidates.astype(np.float64) * costs.candidate_ops
-            + self.work_valid(sparsify).astype(np.float64) * costs.setopt_ops
+            + self.valid.astype(np.float64) * costs.setopt_ops
         )
 
-    def scan_elements(self, scan_scope, sparsify: bool = False) -> np.ndarray:
+    def scan_elements(self, scan_scope) -> np.ndarray:
         """Per-cell elements touched by locate scans.
 
         ``scan_scope`` is the storage size each scan walks (scalar for
@@ -423,7 +380,7 @@ class ProbePlan:
         expected scan hits its target halfway through.
         """
         scope = np.asarray(scan_scope, dtype=np.float64)
-        return self.work_valid(sparsify).astype(np.float64) * scope / 2.0
+        return self.valid.astype(np.float64) * scope / 2.0
 
     # -- blocked structure ---------------------------------------------------
 
@@ -583,7 +540,6 @@ def build_probe_plan(
     target: int,
     configs: Optional[np.ndarray] = None,
     eager: bool = True,
-    sparsify: bool = False,
 ) -> ProbePlan:
     """Construct a plan for one probe, enumerating configurations if needed.
 
@@ -593,12 +549,9 @@ def build_probe_plan(
     not on first use.  The relaxation kernels only need the cheap
     :attr:`~ProbePlan.relaxation_order` layer and pass ``eager=False``
     to keep the expensive layers lazy.  The blocked structure stays
-    lazy per ``dim`` either way.  ``sparsify=True`` additionally
-    eager-builds the dominance-pruned layers
-    (:attr:`~ProbePlan.sparse_configs` /
-    :attr:`~ProbePlan.sparse_valid`) a sparse consumer will touch.
-    Prefer :class:`repro.core.probe_cache.PlanCache` — this builder is
-    the miss path.
+    lazy per ``dim`` either way.  Prefer
+    :class:`repro.core.probe_cache.PlanCache` — this builder is the
+    miss path.
     """
     counts = tuple(int(c) for c in counts)
     if len(counts) != len(class_sizes):
@@ -612,9 +565,5 @@ def build_probe_plan(
     if eager:
         plan.level_schedule
         plan.candidates
-        if sparsify:
-            plan.sparse_configs
-            plan.sparse_valid
-        else:
-            plan.valid
+        plan.valid
     return plan

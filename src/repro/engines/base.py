@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.dp_common import (
     DPResult,
-    UNREACHABLE,
     pick_table_dtype,
     unreachable_for,
     widen_table,
@@ -37,7 +36,6 @@ def fill_by_groups(
     geometry: TableGeometry,
     configs: np.ndarray,
     groups: Iterable[np.ndarray],
-    clipped: bool = False,
 ) -> np.ndarray:
     """Fill the DP-table processing ``groups`` of flat indices in order.
 
@@ -47,17 +45,6 @@ def fill_by_groups(
     schedule violated a dependency.  Returns the flat int64 table (the
     fill itself runs in the narrowest dtype holding the level bound
     and is widened at the end — bit-identical, less memory traffic).
-
-    ``clipped=True`` switches to the cover recurrence of
-    :mod:`repro.core.sparsify`: the predecessor of a cell ``u`` under
-    configuration ``c`` is ``clip(u - c)``, and configurations whose
-    support is disjoint from ``u``'s are skipped (they clip back to
-    ``u`` itself).  Pass the plan's dominance-pruned
-    :attr:`~repro.dptable.plan.ProbePlan.sparse_configs` as ``configs``
-    in that mode — the clipped fixpoint over the maximal subset is
-    bit-identical to the exact full-set fill.  Clipped predecessors sit
-    at strictly lower levels, so the same dependency certification
-    applies.
     """
     size = geometry.size
     dtype = pick_table_dtype(geometry.max_level)
@@ -83,12 +70,8 @@ def fill_by_groups(
         coords = np.stack(np.unravel_index(group, shape), axis=1)
         best = np.full(group.size, unreach, dtype=dtype)
         for cfg in configs:
-            if clipped:
-                prev = np.maximum(coords - cfg, 0)
-                ok = (prev != coords).any(axis=1)
-            else:
-                prev = coords - cfg
-                ok = (prev >= 0).all(axis=1)
+            prev = coords - cfg
+            ok = (prev >= 0).all(axis=1)
             if not ok.any():
                 continue
             prev_flat = prev[ok] @ strides
@@ -113,7 +96,7 @@ def fill_by_groups(
     return widen_table(table)
 
 
-def fill_plan(plan, blocked_dim=None, sparsify: bool = False) -> np.ndarray:
+def fill_plan(plan, blocked_dim=None) -> np.ndarray:
     """One plan's flat int64 table, filled in the engine's own group order.
 
     :func:`fill_by_groups` executes the plan's groups inline and
@@ -121,19 +104,13 @@ def fill_plan(plan, blocked_dim=None, sparsify: bool = False) -> np.ndarray:
 
     ``blocked_dim=None`` selects the anti-diagonal level schedule;
     an integer selects the blocked ``(block-level, in-block-level)``
-    groups for that block count.  ``sparsify=True`` gathers over the
-    plan's dominance-pruned maximal subset with clipped predecessors —
-    same table, fewer configuration passes.
+    groups for that block count.
     """
     groups = (
         plan.level_groups()
         if blocked_dim is None
         else plan.blocked(blocked_dim).fill_groups
     )
-    if sparsify:
-        return fill_by_groups(
-            plan.geometry, plan.sparse_configs, groups, clipped=True
-        )
     return fill_by_groups(plan.geometry, plan.configs, groups)
 
 

@@ -46,21 +46,17 @@ from repro.gpusim.spec import DeviceSpec, KEPLER_K40
 class GpuNaiveEngine:
     """Direct GPU translation of Algorithm 2 (no data partitioning)."""
 
-    supports_sparsify = True
-
     def __init__(
         self,
         spec: DeviceSpec = KEPLER_K40,
         costs: CostConstants = DEFAULT_COSTS,
         check_memory: bool = True,
         plan_cache=None,
-        sparsify: bool = False,
     ) -> None:
         self.spec = spec
         self.costs = costs
         self.check_memory = check_memory
         self.plan_cache = plan_cache
-        self.sparsify = bool(sparsify)
         self.total_simulated_s = 0.0
         self.runs: list[EngineRun] = []
 
@@ -77,14 +73,12 @@ class GpuNaiveEngine:
         configs: Optional[np.ndarray] = None,
         plan: Optional[ProbePlan] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> EngineRun:
         """Execute one DP probe as one kernel per anti-diagonal level."""
         if len(counts) == 0:
             run = degenerate_run(self.name)
             self.runs.append(run)
             return run
-        sparse = self.sparsify if sparsify is None else bool(sparsify)
         plan = resolve_plan(
             self.plan_cache, counts, class_sizes, target, configs, plan,
             model_token=model_token,
@@ -92,8 +86,7 @@ class GpuNaiveEngine:
         geometry = plan.geometry
 
         levels = plan.level_groups()
-        fill_configs = plan.sparse_configs if sparse else plan.configs
-        table = fill_by_groups(geometry, fill_configs, levels, clipped=sparse)
+        table = fill_by_groups(geometry, plan.configs, levels)
         dp_result = DPResult(
             table=table.reshape(geometry.shape), configs=plan.configs
         )
@@ -101,8 +94,8 @@ class GpuNaiveEngine:
         # Per-thread compute (enumeration + SetOPT bookkeeping); the
         # locate scans are charged as strided memory traffic below.
         op_time = self.spec.op_time_s
-        cell_compute = plan.thread_ops(self.costs, sparsify=sparse) * op_time
-        scan_elements = plan.scan_elements(geometry.size, sparsify=sparse)
+        cell_compute = plan.thread_ops(self.costs) * op_time
+        scan_elements = plan.scan_elements(geometry.size)
 
         sim = GpuSimulator(self.spec, check_memory=self.check_memory)
         table_bytes = geometry.size * 8
@@ -130,9 +123,8 @@ class GpuNaiveEngine:
             metrics={
                 **sim.metrics.as_dict(),
                 "total_candidates": plan.total_candidates,
-                "total_valid": int(plan.work_valid(sparse).sum()),
+                "total_valid": plan.total_valid,
                 "scan_scope": geometry.size,
-                "sparsify": sparse,
             },
         )
         self.total_simulated_s += run.simulated_s
@@ -147,7 +139,6 @@ class GpuNaiveEngine:
         target: int,
         configs: Optional[np.ndarray] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> DPResult:
         """DPSolver protocol for the PTAS drivers."""
         return self.run(
@@ -156,5 +147,4 @@ class GpuNaiveEngine:
             target,
             configs,
             model_token=model_token,
-            sparsify=sparsify,
         ).dp_result

@@ -55,8 +55,6 @@ from repro.gpusim.spec import DeviceSpec, KEPLER_K40
 class GpuPartitionedEngine:
     """Algorithms 4+5 with partitioning along ``dim`` dimensions."""
 
-    supports_sparsify = True
-
     def __init__(
         self,
         dim: int = 6,
@@ -66,7 +64,6 @@ class GpuPartitionedEngine:
         check_memory: bool = True,
         block_residency: bool = False,
         plan_cache=None,
-        sparsify: bool = False,
     ) -> None:
         self.dim = dim
         self.num_streams = num_streams
@@ -79,7 +76,6 @@ class GpuPartitionedEngine:
         # implementation; the future-work bench turns it on.
         self.block_residency = block_residency
         self.plan_cache = plan_cache
-        self.sparsify = bool(sparsify)
         self.total_simulated_s = 0.0
         self.runs: list[EngineRun] = []
 
@@ -98,14 +94,12 @@ class GpuPartitionedEngine:
         configs: Optional[np.ndarray] = None,
         plan: Optional[ProbePlan] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> EngineRun:
         """Execute one DP probe as the blocked two-level schedule."""
         if len(counts) == 0:
             run = degenerate_run(self.name)
             self.runs.append(run)
             return run
-        sparse = self.sparsify if sparsify is None else bool(sparsify)
         plan = resolve_plan(
             self.plan_cache, counts, class_sizes, target, configs, plan,
             model_token=model_token,
@@ -117,7 +111,7 @@ class GpuPartitionedEngine:
 
         # Real DP values in the engine's own order: the fill verifies
         # no dependency is violated by the blocked schedule.
-        table = fill_plan(plan, blocked_dim=self.dim, sparsify=sparse)
+        table = fill_plan(plan, blocked_dim=self.dim)
         dp_result = DPResult(
             table=table.reshape(geometry.shape), configs=plan.configs
         )
@@ -127,11 +121,9 @@ class GpuPartitionedEngine:
         # Locate scans stay inside the block: contiguous (coalesced)
         # storage of cells_per_block cells; also charge the scan's
         # compare ops as compute (the per-thread loop of Alg.5 l.26-28).
-        scan_elems_per_cell = plan.scan_elements(
-            partition.cells_per_block, sparsify=sparse
-        )
+        scan_elems_per_cell = plan.scan_elements(partition.cells_per_block)
         cell_compute = (
-            plan.thread_ops(self.costs, sparsify=sparse)
+            plan.thread_ops(self.costs)
             + scan_elems_per_cell * self.costs.gpu_scan_ops_per_element
         ) * op_time
 
@@ -197,9 +189,8 @@ class GpuPartitionedEngine:
                 "num_block_levels": partition.num_block_levels,
                 "num_streams": self.num_streams,
                 "total_candidates": plan.total_candidates,
-                "total_valid": int(plan.work_valid(sparse).sum()),
+                "total_valid": plan.total_valid,
                 "scan_scope": partition.cells_per_block,
-                "sparsify": sparse,
                 "strided_span_example": layout.strided_span(
                     (0,) * geometry.ndim
                 ),
@@ -222,7 +213,6 @@ class GpuPartitionedEngine:
         target: int,
         configs: Optional[np.ndarray] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> DPResult:
         """DPSolver protocol for the PTAS drivers."""
         return self.run(
@@ -231,5 +221,4 @@ class GpuPartitionedEngine:
             target,
             configs,
             model_token=model_token,
-            sparsify=sparsify,
         ).dp_result

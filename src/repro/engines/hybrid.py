@@ -40,8 +40,6 @@ from repro.gpusim.spec import DeviceSpec, KEPLER_K40
 class HybridEngine:
     """Dispatch probes between the OpenMP and partitioned-GPU engines."""
 
-    supports_sparsify = True
-
     def __init__(
         self,
         dim: int = 6,
@@ -50,28 +48,22 @@ class HybridEngine:
         gpu_spec: DeviceSpec = KEPLER_K40,
         costs: CostConstants = DEFAULT_COSTS,
         plan_cache=None,
-        sparsify: bool = False,
     ) -> None:
-        # The sparsify knob threads down to both sub-engines so the
-        # winner fills (and charges) the dominance-pruned set.
         self.cpu_engine = OpenMPEngine(
             threads=threads,
             spec=cpu_spec,
             costs=costs,
             plan_cache=plan_cache,
-            sparsify=sparsify,
         )
         self.gpu_engine = GpuPartitionedEngine(
             dim=dim,
             spec=gpu_spec,
             costs=costs,
             plan_cache=plan_cache,
-            sparsify=sparsify,
         )
         self.costs = costs
         self.dim = dim
         self.plan_cache = plan_cache
-        self.sparsify = bool(sparsify)
         self.choices: list[str] = []
         self.runs: list[EngineRun] = []
 
@@ -136,7 +128,6 @@ class HybridEngine:
         configs: Optional[np.ndarray] = None,
         plan: Optional[ProbePlan] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> EngineRun:
         """Route one probe to the predicted-cheaper engine and run it."""
         if len(counts) == 0:
@@ -152,14 +143,12 @@ class HybridEngine:
         if cpu_pred <= gpu_pred:
             self.choices.append("cpu")
             run = self.cpu_engine.run(
-                counts, class_sizes, target, plan.configs, plan=plan,
-                sparsify=sparsify,
+                counts, class_sizes, target, plan.configs, plan=plan
             )
         else:
             self.choices.append("gpu")
             run = self.gpu_engine.run(
-                counts, class_sizes, target, plan.configs, plan=plan,
-                sparsify=sparsify,
+                counts, class_sizes, target, plan.configs, plan=plan
             )
         self.runs.append(run)
         return run
@@ -171,7 +160,6 @@ class HybridEngine:
         target: int,
         configs: Optional[np.ndarray] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> DPResult:
         """DPSolver protocol for the PTAS drivers."""
         return self.run(
@@ -180,5 +168,4 @@ class HybridEngine:
             target,
             configs,
             model_token=model_token,
-            sparsify=sparsify,
         ).dp_result

@@ -40,8 +40,6 @@ from repro.engines.costmodel import CostConstants, DEFAULT_COSTS
 class OpenMPEngine:
     """Algorithm 2 on ``threads`` CPU threads (OMP16 / OMP28 in the paper)."""
 
-    supports_sparsify = True
-
     def __init__(
         self,
         threads: int = 28,
@@ -49,14 +47,12 @@ class OpenMPEngine:
         costs: CostConstants = DEFAULT_COSTS,
         schedule: str = "static",
         plan_cache=None,
-        sparsify: bool = False,
     ) -> None:
         self.threads = threads
         self.spec = spec
         self.costs = costs
         self.schedule = schedule
         self.plan_cache = plan_cache
-        self.sparsify = bool(sparsify)
         self.total_simulated_s = 0.0
         self.runs: list[EngineRun] = []
 
@@ -73,14 +69,12 @@ class OpenMPEngine:
         configs: Optional[np.ndarray] = None,
         plan: Optional[ProbePlan] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> EngineRun:
         """Execute one DP probe level by level on the CPU model."""
         if len(counts) == 0:
             run = degenerate_run(self.name)
             self.runs.append(run)
             return run
-        sparse = self.sparsify if sparsify is None else bool(sparsify)
         plan = resolve_plan(
             self.plan_cache, counts, class_sizes, target, configs, plan,
             model_token=model_token,
@@ -88,16 +82,16 @@ class OpenMPEngine:
         geometry = plan.geometry
 
         levels = plan.level_groups()
-        table = fill_plan(plan, sparsify=sparse)
+        table = fill_plan(plan)
         dp_result = DPResult(
             table=table.reshape(geometry.shape), configs=plan.configs
         )
 
         # Per-cell cost: candidate enumeration + SetOPT bookkeeping +
         # whole-table locate scans (cached, so discounted).
-        ops = plan.thread_ops(self.costs, sparsify=sparse)
+        ops = plan.thread_ops(self.costs)
         scan = (
-            plan.scan_elements(geometry.size, sparsify=sparse)
+            plan.scan_elements(geometry.size)
             * self.costs.scan_ops_per_element
             * self.costs.cpu_scan_elements_cached
         )
@@ -105,7 +99,7 @@ class OpenMPEngine:
         # Streamed traffic per cell: its scans touch valid * sigma/2
         # elements of 8 bytes; the shared-bandwidth ceiling caps how
         # fast 16 or 28 threads can co-scan.
-        cell_bytes = plan.scan_elements(geometry.size, sparsify=sparse) * 8.0
+        cell_bytes = plan.scan_elements(geometry.size) * 8.0
 
         model = OpenMPModel(self.spec, threads=self.threads)
         worst_imbalance = 1.0
@@ -128,9 +122,8 @@ class OpenMPEngine:
                 "regions": model.regions,
                 "worst_level_imbalance": worst_imbalance,
                 "total_candidates": plan.total_candidates,
-                "total_valid": int(plan.work_valid(sparse).sum()),
+                "total_valid": plan.total_valid,
                 "scan_scope": geometry.size,
-                "sparsify": sparse,
             },
         )
         self.total_simulated_s += run.simulated_s
@@ -145,7 +138,6 @@ class OpenMPEngine:
         target: int,
         configs: Optional[np.ndarray] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> DPResult:
         """DPSolver protocol for the PTAS drivers."""
         return self.run(
@@ -154,5 +146,4 @@ class OpenMPEngine:
             target,
             configs,
             model_token=model_token,
-            sparsify=sparsify,
         ).dp_result

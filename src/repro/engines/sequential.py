@@ -41,26 +41,17 @@ class SequentialEngine:
     :meth:`__call__`; simulated time accumulates across calls in
     ``total_simulated_s`` so the PTAS drivers can report per-instance
     totals.
-
-    ``sparsify`` (default off — engines are exact-fill baselines)
-    gathers over the plan's dominance-pruned maximal subset with
-    clipped predecessors; tables and simulated cost accounting both
-    reflect the set that really ran, and results stay bit-identical.
     """
-
-    supports_sparsify = True
 
     def __init__(
         self,
         spec: CpuSpec = XEON_E5_2697V3_DUAL,
         costs: CostConstants = DEFAULT_COSTS,
         plan_cache=None,
-        sparsify: bool = False,
     ) -> None:
         self.spec = spec
         self.costs = costs
         self.plan_cache = plan_cache
-        self.sparsify = bool(sparsify)
         self.total_simulated_s = 0.0
         self.runs: list[EngineRun] = []
 
@@ -77,36 +68,31 @@ class SequentialEngine:
         configs: Optional[np.ndarray] = None,
         plan: Optional[ProbePlan] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> EngineRun:
         """Execute one DP probe; returns values plus simulated time."""
         if len(counts) == 0:
             run = degenerate_run(self.name)
             self.runs.append(run)
             return run
-        sparse = self.sparsify if sparsify is None else bool(sparsify)
         plan = resolve_plan(
             self.plan_cache, counts, class_sizes, target, configs, plan,
             model_token=model_token,
         )
         geometry = plan.geometry
 
-        fill_configs = plan.sparse_configs if sparse else plan.configs
-        table = fill_by_groups(
-            geometry, fill_configs, plan.level_groups(), clipped=sparse
-        )
+        table = fill_by_groups(geometry, plan.configs, plan.level_groups())
         dp_result = DPResult(
             table=table.reshape(geometry.shape), configs=plan.configs
         )
 
         # Serial cost: every op in sequence; scans run from cache.
-        ops = plan.thread_ops(self.costs, sparsify=sparse)
+        ops = plan.thread_ops(self.costs)
         scan = (
-            plan.scan_elements(geometry.size, sparsify=sparse)
+            plan.scan_elements(geometry.size)
             * self.costs.scan_ops_per_element
             * self.costs.cpu_scan_elements_cached
         )
-        total_valid = int(plan.work_valid(sparse).sum())
+        total_valid = plan.total_valid
         model = OpenMPModel(self.spec, threads=1)
         model.parallel_for(
             (ops + scan) * self.spec.op_time_s,
@@ -121,7 +107,6 @@ class SequentialEngine:
                 "regions": model.regions,
                 "total_candidates": plan.total_candidates,
                 "total_valid": total_valid,
-                "sparsify": sparse,
             },
         )
         self.total_simulated_s += run.simulated_s
@@ -136,7 +121,6 @@ class SequentialEngine:
         target: int,
         configs: Optional[np.ndarray] = None,
         model_token: Optional[tuple] = None,
-        sparsify: Optional[bool] = None,
     ) -> DPResult:
         """DPSolver protocol: used directly by the PTAS drivers."""
         return self.run(
@@ -145,5 +129,4 @@ class SequentialEngine:
             target,
             configs,
             model_token=model_token,
-            sparsify=sparsify,
         ).dp_result

@@ -66,16 +66,11 @@ class FillSpec:
         filtered configuration set never aliases an unfiltered one.
         ``None`` (the identical/few-types case) keeps signatures
         bit-identical to the pre-model library.
-    sparsify:
-        Whether sparsify-aware solvers may dominance-prune this fill's
-        configuration set (:mod:`repro.core.sparsify`).  ``True`` for
-        every shipped model — each enumerates a downward-closed set
-        (componentwise caps, a load budget, and optionally a job-count
-        cap all survive decreasing a component), which is exactly the
-        property the pruning needs.  A future model whose filtered set
-        is *not* downward closed must ship ``sparsify=False`` to opt
-        out; the probe cache then forces the dense fill on solvers
-        that would otherwise prune.
+
+    Every fill's configuration set is downward closed (componentwise
+    caps, a load budget, and optionally a job-count cap all survive
+    decreasing a component), which is the property the ``auto``
+    kernel's dominance pruning needs (:mod:`repro.core.sparsify`).
     """
 
     counts: Tuple[int, ...]
@@ -85,7 +80,6 @@ class FillSpec:
     machine_clamp: Optional[int] = None
     label: str = "dp"
     token: Optional[Tuple] = None
-    sparsify: bool = True
 
     @property
     def value_bound(self) -> int:

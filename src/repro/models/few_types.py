@@ -218,7 +218,7 @@ class FewTypesModel(MachineModel):
             type_counts: list[int] = []
             for t, cell in enumerate(split):
                 configs_t = extract_configurations_at(dp_results[t], cell)
-                if len(configs_t) > per_type[t]:
+                if len(per_type) > 1 and len(configs_t) > per_type[t]:
                     raise DPError(
                         f"type {t} witness needs {len(configs_t)} machines "
                         f"but only {per_type[t]} exist"
@@ -241,12 +241,12 @@ class FewTypesModel(MachineModel):
                     instance, speed * rounded.target, machine_jobs, rounded.short_indices
                 )
             needed = len(machine_jobs)
+            machines_needed = max(needed, len(flat_configs))
             if needed > m:
-                return ProbeOutcome(machines_needed=needed)
+                return ProbeOutcome(machines_needed=machines_needed)
             machine_jobs.extend([] for _ in range(m - needed))
             return ProbeOutcome(
-                machines_needed=max(needed, len(flat_configs)),
-                machine_jobs=machine_jobs,
+                machines_needed=machines_needed, machine_jobs=machine_jobs
             )
 
         with timer.phase("place_long"):
@@ -299,10 +299,11 @@ class FewTypesModel(MachineModel):
         shape = rounded.table_shape
         full = tuple(s - 1 for s in shape)
         if K == 1:
-            # One type composes with nothing: only the root cell matters,
-            # so skip materialising the whole-table cover lattice (the
-            # identical model reads exactly this one cell too).
-            return [full] if int(dp_results[0].table[full]) <= per_type[0] else None
+            # One type composes with nothing: the witness is the root
+            # cell, backtracked whatever machine count it holds, as the
+            # identical model does — so a rejected probe reports the
+            # machines its placement opened, not a flat ``m + 1``.
+            return [full]
         feas = [dp_results[0].table <= int(per_type[0])]
         for t in range(1, K - 1):
             nxt = np.zeros(shape, dtype=bool)

@@ -109,13 +109,6 @@ class TestProbeCacheUnits:
         assert len(cache) == 0
         assert cache.stats.misses["rounding"] == 1
 
-    def test_geometry_memoized(self):
-        cache = ProbeCache()
-        a = cache.geometry((2, 3))
-        b = cache.geometry((2, 3))
-        assert a is b
-        assert cache.stats.hit_rate("geometry") == 0.5
-
 
 class TestCacheStats:
     def test_hit_rate_empty_is_zero(self):
@@ -206,24 +199,29 @@ class TestCachedSearchEquivalence:
 
 
 class TestLRUBounding:
-    def _fill_geometry(self, cache, n):
+    INSTANCE = uniform_instance(8, 2, low=5, high=70, seed=9)
+
+    def _round(self, cache, target):
+        return cache.rounding(self.INSTANCE, target, 0.3)
+
+    def _fill_rounding(self, cache, n):
         for i in range(n):
-            cache.geometry((i + 1, 1))
+            self._round(cache, 100 + i)
 
     def test_capacity_evicts_least_recently_used(self):
         cache = ProbeCache(capacity=3)
-        self._fill_geometry(cache, 3)
-        cache.geometry((1, 1))        # refresh the oldest entry
-        cache.geometry((99, 1))       # evicts (2, 1), not (1, 1)
-        assert cache.stats.evictions.get("geometry") == 1
-        cache.geometry((1, 1))        # still cached -> hit
-        assert cache.stats.hits["geometry"] == 2
-        cache.geometry((2, 1))        # evicted -> miss
-        assert cache.stats.misses["geometry"] == 5
+        self._fill_rounding(cache, 3)  # targets 100, 101, 102
+        self._round(cache, 100)        # refresh the oldest entry
+        self._round(cache, 199)        # evicts 101, not 100
+        assert cache.stats.evictions.get("rounding") == 1
+        self._round(cache, 100)        # still cached -> hit
+        assert cache.stats.hits["rounding"] == 2
+        self._round(cache, 101)        # evicted -> miss
+        assert cache.stats.misses["rounding"] == 5
 
     def test_unbounded_cache_never_evicts(self):
         cache = ProbeCache(capacity=None)
-        self._fill_geometry(cache, 50)
+        self._fill_rounding(cache, 50)
         assert len(cache) == 50
         assert cache.stats.total_evictions == 0
 
@@ -235,7 +233,6 @@ class TestLRUBounding:
         assert len(cache._rounding) <= 2
         assert len(cache._configs) <= 2
         assert len(cache._dp) <= 2
-        assert len(cache._geometry) <= 2
 
     def test_bounded_cache_results_identical(self):
         inst = uniform_instance(24, 4, low=5, high=70, seed=9)
@@ -246,12 +243,12 @@ class TestLRUBounding:
 
     def test_eviction_appears_in_as_dict_only_when_nonzero(self):
         cache = ProbeCache(capacity=1)
-        self._fill_geometry(cache, 3)
-        spec = cache.stats.as_dict()["geometry"]
+        self._fill_rounding(cache, 3)
+        spec = cache.stats.as_dict()["rounding"]
         assert spec["evictions"] == 2
         fresh = ProbeCache()
-        fresh.geometry((1, 1))
-        assert "evictions" not in fresh.stats.as_dict()["geometry"]
+        self._round(fresh, 100)
+        assert "evictions" not in fresh.stats.as_dict()["rounding"]
 
     def test_invalid_capacity_rejected(self):
         import pytest

@@ -3,7 +3,7 @@
 The soundness story these tests pin down:
 
 * **Clipped cover fixpoint = exact fixpoint.** Dominance pruning keeps
-  only the maximal configurations, and every sparse consumer reads the
+  only the maximal configurations, and the sparse fill reads the
   recurrence as a cover (``clip(u - c)`` instead of ``u - c``).  On a
   downward-closed set min-cover equals min-partition at *every* cell,
   so the sparse fill's table is bit-identical to the dense one — not
@@ -11,8 +11,8 @@ The soundness story these tests pin down:
 * **The exact-subtraction counterexample.** With ``counts=(3,)``,
   ``sizes=(1,)``, ``T=2`` the maximal set is ``{(2,)}`` and exact
   subtraction would strand cell ``(3,)``; the clipped recurrence
-  reaches it (``OPT = 2``).  This instance runs through every sparse
-  code path below.
+  reaches it (``OPT = 2``).  This instance runs through the sparse
+  fill below, directly and as ``auto`` runs it.
 * **Warm starts seed from above.** A cached table at a strictly
   smaller budget is a pointwise upper bound on the new fixpoint
   (``C(b') ⊆ C(b)``), and the min-relaxation from an upper-bound seed
@@ -29,11 +29,8 @@ from repro.core.dp_common import UNREACHABLE
 from repro.core.dp_reference import dp_reference
 from repro.core.dp_vectorized import dp_vectorized, seed_warm_table
 from repro.core.kernels import AutoKernel
-from repro.core.kernels.sweep import SweepKernel, dp_levelsweep
 from repro.core.probe_cache import CacheStats, PlanCache, ProbeCache
 from repro.core.sparsify import maximal_mask, sparsify_configurations
-from repro.dptable.plan import build_probe_plan
-from repro.engines.base import fill_by_groups
 from repro.errors import DPError
 
 
@@ -164,28 +161,6 @@ def test_dp_vectorized_sparse_is_bit_identical(probe):
     assert np.array_equal(dense.configs, sparse.configs)
 
 
-@given(probe=probes())
-@settings(max_examples=20, deadline=None)
-def test_dp_levelsweep_sparse_is_bit_identical(probe):
-    counts, sizes, target = probe
-    dense = dp_levelsweep(counts, sizes, target)
-    sparse = dp_levelsweep(counts, sizes, target, sparsify=True)
-    assert np.array_equal(dense.table, sparse.table)
-    assert np.array_equal(dense.configs, sparse.configs)
-
-
-@given(probe=probes())
-@settings(max_examples=20, deadline=None)
-def test_fill_by_groups_clipped_is_bit_identical(probe):
-    counts, sizes, target = probe
-    plan = build_probe_plan(counts, sizes, target)
-    dense = fill_by_groups(plan.geometry, plan.configs, plan.level_groups())
-    clipped = fill_by_groups(
-        plan.geometry, plan.sparse_configs, plan.level_groups(), clipped=True
-    )
-    assert np.array_equal(dense, clipped)
-
-
 @pytest.mark.parametrize("probe", [COUNTEREXAMPLE, ((3, 2), (1, 4), 6)])
 def test_counterexample_runs_exact_through_every_sparse_path(probe):
     counts, sizes, target = probe
@@ -195,15 +170,7 @@ def test_counterexample_runs_exact_through_every_sparse_path(probe):
         reference.table,
     )
     assert np.array_equal(
-        dp_levelsweep(counts, sizes, target, sparsify=True).table,
-        reference.table,
-    )
-    plan = build_probe_plan(counts, sizes, target)
-    assert np.array_equal(
-        fill_by_groups(
-            plan.geometry, plan.sparse_configs, plan.level_groups(),
-            clipped=True,
-        ).reshape(plan.geometry.shape),
+        AutoKernel(plan_cache=PlanCache())(counts, sizes, target).table,
         reference.table,
     )
 
@@ -332,12 +299,11 @@ def test_count_subconfigurations_matches_python_reference(probe):
 
 def test_hit_rate_is_zero_for_unseen_kinds():
     stats = CacheStats()
-    # Kinds this PR introduced must never KeyError, recorded or not.
-    assert stats.hit_rate("sparsify") == 0.0
+    # Unrecorded kinds must never KeyError.
     assert stats.hit_rate("warmstart") == 0.0
-    stats.record("sparsify", True)
-    stats.record("sparsify", False)
-    assert stats.hit_rate("sparsify") == 0.5
+    stats.record("warmstart", True)
+    stats.record("warmstart", False)
+    assert stats.hit_rate("warmstart") == 0.5
     assert stats.hit_rate("never-recorded") == 0.0
 
 
@@ -372,9 +338,7 @@ def test_warm_and_cold_results_agree_end_to_end():
         cache=ProbeCache(),
     )
     cold = ptas_schedule(
-        inst, eps=0.2,
-        dp_solver=AutoKernel(plan_cache=PlanCache(), sparsify=False),
-        cache=ProbeCache(warm_start=False),
+        inst, eps=0.2, dp_solver=AutoKernel(plan_cache=PlanCache()), cache=None
     )
     bare = ptas_schedule(inst, eps=0.2)
     assert warm.makespan == cold.makespan == bare.makespan
@@ -391,20 +355,3 @@ def test_plan_cache_seeds_level_schedule_across_same_shape():
     assert "level_schedule" in b.__dict__  # inherited, not rebuilt
     assert b.__dict__["level_schedule"] is a.__dict__["level_schedule"]
     assert cache.stats.hits.get("warmstart", 0) >= 1
-
-
-def test_plan_cache_sparsify_kind_and_layers():
-    cache = PlanCache()
-    plan = cache.plan((2, 2), (3, 5), 12, sparsify=True)
-    assert "sparse_configs" in plan.__dict__  # eagerly built
-    # Second lookup with sparsify: layers already resident -> a hit.
-    cache.plan((2, 2), (3, 5), 12, sparsify=True)
-    assert cache.stats.hits.get("sparsify", 0) >= 1
-
-
-def test_sweep_kernel_override_beats_constructor_default():
-    counts, sizes, target = (2, 2), (3, 5), 11
-    base = SweepKernel()  # sparsify=False default
-    forced = base(counts, sizes, target, sparsify=True)
-    plain = base(counts, sizes, target)
-    assert np.array_equal(forced.table, plain.table)

@@ -21,7 +21,7 @@ down:
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import backend_names, resolve
@@ -55,6 +55,9 @@ def _resolve(name):
 
 @given(inst=instances(), eps=EPS, search=SEARCHES)
 @settings(max_examples=20, deadline=None)
+# A rejected exact probe that needs m + 2 machines: the 1-type lift
+# must report the machines its placement opened, not m + 1.
+@example(inst=Instance(times=(3,) * 5, machines=3), eps=0.2, search="bisection")
 def test_lifts_are_search_identical_on_exact_solvers(inst, eps, search):
     # Probe-for-probe bit-identity: same target sequence, same dense
     # tables, same configuration sets — not merely the same answer.

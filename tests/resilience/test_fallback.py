@@ -28,6 +28,10 @@ class TestRegistryFamily:
         assert not spec.simulated
 
     def test_unknown_member_rejected(self):
+        # Rejected when the spec is built, before any solver exists.
+        with pytest.raises(BackendError, match="unknown backend"):
+            get_spec("fallback:auto,not-a-backend")
+        assert not is_registered("fallback:auto,not-a-backend")
         with pytest.raises(BackendError, match="unknown backend"):
             resolve("fallback:auto,not-a-backend")
 

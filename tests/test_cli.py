@@ -227,10 +227,17 @@ class TestExitCodes:
         assert "backend failure" in capsys.readouterr().err
 
     def test_unknown_backend_stays_usage_error(self, capsys):
-        for backend in ("no-such-backend", "fallback:auto,no-such-backend"):
-            code = main(["schedule", "--machines", "2", "--times", "5", "6",
-                         "--backend", backend])
-            assert code == 2, backend
+        commands = (
+            ["schedule", "--machines", "2", "--times", "5", "6"],
+            ["batch", "--requests", "1", "--jobs", "6", "--machines", "2",
+             "--workers", "1"],
+            ["serve", "--requests", "2", "--jobs", "6", "--machines", "2",
+             "--time-scale", "0.01"],
+        )
+        for command in commands:
+            for backend in ("no-such-backend", "fallback:auto,no-such-backend"):
+                code = main([*command, "--backend", backend])
+                assert code == 2, (command[0], backend)
 
     def test_byte_suffix_parsing(self):
         from repro.cli import parse_bytes
