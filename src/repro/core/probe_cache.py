@@ -1,13 +1,12 @@
-"""Cross-probe solver cache: stop re-deriving what adjacent probes share.
+"""Cross-probe DP-table cache: stop refilling what adjacent probes share.
 
-Every dual-approximation probe at a target ``T`` performs three
-derivations before any scheduling happens: round the instance
-(:func:`repro.core.rounding.round_instance`), enumerate the machine
-configurations ``C`` (:func:`repro.core.configs.enumerate_configurations`),
-and fill the DP-table.  A PTAS search performs dozens of probes —
-and the instrumentation layer (:mod:`repro.observability`) shows that
-configuration enumeration plus the DP fill dominate every probe.
-Much of that work is *identical across probes*:
+Every dual-approximation probe at a target ``T`` rounds the instance
+(:func:`repro.core.rounding.round_instance`), enumerates the machine
+configurations ``C`` of each fill
+(:func:`repro.core.configs.enumerate_configurations`), and fills the
+DP-table.  A PTAS search performs dozens of probes, and the fill
+dominates every one of them.  Much of that work is *identical across
+probes*:
 
 * The final clean-up probe of both searches re-probes a target that
   was usually already probed inside the loop.
@@ -17,38 +16,41 @@ Much of that work is *identical across probes*:
 * Most importantly, the rounded view is **scale-invariant**: rounding
   maps each long job to class index ``c = t // unit`` with
   ``unit = floor(T/k^2)``, and a configuration ``s`` is feasible iff
-  ``sum_i s_i * (c_i * unit) <= T``, i.e. iff
-  ``sum_i s_i * c_i <= T // unit``.  Two probes at *different* targets
-  whose rounding produced the same class-index vector, the same job
-  counts, and the same scaled budget ``T // unit`` therefore have
-  **bit-identical configuration sets and DP-tables**, even though
+  ``sum_i s_i * (c_i * unit) <= B`` for the fill's budget ``B``, i.e.
+  iff ``sum_i s_i * c_i <= B // unit``.  Two probes at *different*
+  targets whose rounding produced the same class-index vector, the
+  same job counts, and the same scaled budget ``B // unit`` therefore
+  have **bit-identical configuration sets and DP-tables**, even though
   their absolute ``class_sizes`` differ.  Nearby targets frequently
   collide this way — the sparsification observation of
   Jansen–Klein–Verschae, applied at the probe level.
 
-:class:`ProbeCache` memoizes all three artifacts.  Rounding is keyed
-on the exact ``(instance, target, k)``; configurations and DP results
-are keyed on the *normalized* ``(class-index vector, counts,
-T // unit)`` so hits occur across targets, across the four concurrent
-quarter-split segments, across both search strategies, and across the
-instances of a batch run that happen to round identically.
+:class:`ProbeCache` memoizes one artifact, the DP-table, keyed on
+:func:`fill_key` — ``(class-index vector, counts, B // unit,
+max_jobs)`` — so hits occur across targets, across the four
+concurrent quarter-split segments, across both search strategies,
+across the instances of a batch run that happen to round identically,
+and across machine models whose fills coincide (a 1-type unit-speed
+lift shares the identical model's tables).  Rounding and configuration
+enumeration are cheap next to a fill and are derived fresh on every
+call, in one place (:class:`NullProbeCache`).
 
 Correctness: the DP-table's values are machine counts determined
 solely by the configuration set and the count vector, both functions
-of the normalized key — so a cache hit returns exactly the table the
-solver would have produced (property-tested: cached and uncached runs
-yield identical final targets, makespans, and schedules).
+of the fill key — so a cache hit returns exactly the table the solver
+would have produced (property-tested: cached and uncached runs yield
+identical final targets, makespans, and schedules).
 
 The cache is **opt-in** (``ptas_schedule(..., cache=ProbeCache())``):
 the simulated engines charge hardware time per DP fill as a side
 effect, and a cache hit legitimately skips that charge, which is the
 right accounting for a real system but not for reproducing the
-paper's no-cache Table VII numbers.
+paper's no-cache Table VII numbers — pass ``cache=None`` for those.
 
-Thread-safety: plain dicts guarded by the GIL; safe for the
-concurrent quarter-split segments (which in this reproduction execute
-sequentially) and for multi-threaded readers.  Do not share one cache
-across processes.
+Thread-safety: the table store and its warm-start index are guarded
+by a lock, so one cache may serve concurrent probe threads (a
+concurrent double-miss wastes one solve and keeps the first writer's
+table).  Do not share one cache across processes.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import numpy as np
 
 from collections import OrderedDict
 
-from repro.core.configs import enumerate_configurations
 from repro.core.dp_common import DPResult
 from repro.core.instance import Instance
 from repro.core.rounding import RoundedInstance, accuracy_k, round_instance
@@ -77,8 +78,8 @@ from repro.dptable.plan import (
 from repro.dptable.table import TableGeometry
 from repro.observability import context as obs
 
-#: Normalized probe key: (class-index vector, counts, scaled target).
-NormalizedKey = Tuple[Tuple[int, ...], Tuple[int, ...], int]
+#: Fill key: (class-index vector, counts, scaled budget, job cap).
+FillKey = Tuple[Tuple[int, ...], Tuple[int, ...], int, Optional[int]]
 
 #: Normalized request key: (model, instance, accuracy k, search, backend).
 RequestKey = Tuple[str, Instance, int, str, Optional[str]]
@@ -171,46 +172,65 @@ class NullProbeCache:
     one, which simply performs every derivation fresh.  ``last_events``
     stays empty (there are no hits or misses to report), matching the
     cacheless trace output exactly.
-    """
 
-    #: mirrors ProbeCache.share_dp: the DP solver runs on every probe.
-    share_dp = False
+    The derivations live here once: :class:`ProbeCache` inherits
+    :meth:`rounding` and :meth:`configurations` and memoizes only
+    :meth:`dp`, whose miss path is :meth:`_solve`.
+    """
 
     def __init__(self) -> None:
         self.stats = CacheStats()
         self.last_events: Dict[str, str] = {}
 
     def rounding(self, instance: Instance, target: int, eps: float) -> RoundedInstance:
-        """Uncached :func:`~repro.core.rounding.round_instance`."""
-        return round_instance(instance, target, eps)
+        """:func:`~repro.core.rounding.round_instance`, derived fresh."""
+        rounded = round_instance(instance, target, eps)
+        self._note("rounding", False)
+        return rounded
 
     def configurations(
         self, rounded: RoundedInstance, fill: Optional["FillSpec"] = None
     ) -> np.ndarray:
-        """Uncached configuration enumeration (``fill`` overrides budget/cap)."""
-        if _is_default_fill(rounded, fill):
-            return enumerate_configurations(
-                rounded.class_sizes, rounded.counts, rounded.target
-            )
-        return fill.enumerate()
+        """The configuration set of ``fill`` (default: the identical fill).
+
+        Returned read-only: the plan layer adopts a read-only set
+        without copying it.
+        """
+        configs = _resolve_fill(rounded, fill).enumerate()
+        configs.setflags(write=False)
+        self._note("configs", False)
+        return configs
 
     def dp(
         self, rounded: RoundedInstance, solver, fill: Optional["FillSpec"] = None
     ) -> DPResult:
-        """Run ``solver`` directly (it enumerates configurations itself)."""
-        if _is_default_fill(rounded, fill):
-            return solver(rounded.counts, rounded.class_sizes, rounded.target)
-        configs = fill.enumerate()
+        """Run ``solver`` on ``fill`` (default: the identical fill)."""
+        return self._solve(rounded, solver, _resolve_fill(rounded, fill))
+
+    def _solve(
+        self, rounded: RoundedInstance, solver, fill: "FillSpec", **kwargs
+    ) -> DPResult:
+        """The one solver call: ``fill``'s classes, budget, and configurations.
+
+        ``kwargs`` carries the warm-start seed on :class:`ProbeCache`
+        misses; a fill's plan token rides along as ``model_token``.
+        """
+        if fill.token is not None:
+            kwargs["model_token"] = fill.token
         return solver(
             fill.counts,
             fill.class_sizes,
             fill.budget,
-            configs=configs,
-            **_fill_kwargs(fill),
+            configs=self.configurations(rounded, fill=fill),
+            **kwargs,
         )
 
+    def _note(self, kind: str, hit: bool) -> None:
+        """Nothing is tallied without a cache."""
+
     def begin_probe(self) -> None:
-        """No per-probe state to reset."""
+        """Reset the per-probe event snapshot (called by the probe)."""
+        self.last_events = {}
 
     def clear(self) -> None:
         """Nothing cached, nothing to drop."""
@@ -229,76 +249,39 @@ def as_cache(cache: Optional["ProbeCache"]) -> "ProbeCache | NullProbeCache":
     return cache if cache is not None else NullProbeCache()
 
 
-def normalized_probe_key(rounded: RoundedInstance) -> NormalizedKey:
-    """The scale-invariant identity of a rounded probe.
+def _resolve_fill(rounded: RoundedInstance, fill: Optional["FillSpec"]) -> "FillSpec":
+    """``fill``, or the identical-machines fill of ``rounded`` when ``None``.
 
-    ``class_sizes[i] == index_i * unit`` exactly (rounding is a floor
-    to a multiple of ``unit``), so the integer divisions below are
-    lossless; see the module docstring for why ``target // unit``
-    completes the key.
+    Every machine model hands the probe explicit fills; ``None`` is the
+    direct-call shorthand for the classic configuration DP at budget
+    ``T`` over the rounded instance's own classes.
     """
-    unit = rounded.unit
-    indices = tuple(s // unit for s in rounded.class_sizes)
-    return (indices, rounded.counts, rounded.target // unit)
+    if fill is not None:
+        return fill
+    from repro.models.base import FillSpec
 
-
-def _is_default_fill(rounded: RoundedInstance, fill: Optional["FillSpec"]) -> bool:
-    """Whether ``fill`` is the classic identical-model fill of ``rounded``.
-
-    The default fill (budget ``T``, no job cap, no plan token, the
-    rounded instance's own classes) is exactly what the pre-model
-    library solved, so it keeps the pre-model cache keys and solver
-    call shapes — including across models: a 1-type unit-speed lift
-    produces this same default fill and therefore shares tables with
-    the identical model bit-for-bit.
-    """
-    return fill is None or (
-        fill.budget == rounded.target
-        and fill.max_jobs is None
-        and fill.token is None
-        and fill.counts == rounded.counts
-        and fill.class_sizes == rounded.class_sizes
+    return FillSpec(
+        counts=rounded.counts,
+        class_sizes=rounded.class_sizes,
+        budget=rounded.target,
     )
 
 
-def _fill_key(rounded: RoundedInstance, fill: "FillSpec"):
-    """Scale-invariant identity of a non-default fill.
+def fill_key(rounded: RoundedInstance, fill: Optional["FillSpec"] = None) -> FillKey:
+    """The scale-invariant identity of one fill's DP-table.
 
-    Mirrors :func:`normalized_probe_key`: sizes are exact multiples of
-    the unit and a configuration is feasible iff the *scaled* budget
-    admits it, so ``budget // unit`` is lossless.  The job cap joins
-    the key because it filters the configuration set.  Being a 4-tuple
-    it can never collide with the default fills' 3-tuple keys.
+    ``class_sizes[i] == index_i * unit`` exactly (rounding is a floor
+    to a multiple of ``unit``) and a configuration is feasible iff the
+    *scaled* budget admits it, so ``budget // unit`` is lossless; see
+    the module docstring.  The job cap joins the key because it
+    filters the configuration set.  Fills from different models that
+    coincide share one key — a 1-type unit-speed lift of an identical
+    instance keys exactly like the identical fill.
     """
+    fill = _resolve_fill(rounded, fill)
     unit = rounded.unit
     indices = tuple(s // unit for s in fill.class_sizes)
     return (indices, fill.counts, fill.budget // unit, fill.max_jobs)
-
-
-def _fill_kwargs(fill: "FillSpec") -> Dict[str, object]:
-    """Extra solver kwargs a fill demands (the plan token, when set)."""
-    return {} if fill.token is None else {"model_token": fill.token}
-
-
-def _warm_family(base_key) -> tuple:
-    """The warm-start family of a DP key: everything but the budget.
-
-    Default-fill keys are ``(indices, counts, scaled_budget)``;
-    non-default fills append ``max_jobs``.  Two fills in one family
-    differ only in the scaled budget, so the smaller budget's
-    configuration set is a subset of the larger's and its table values
-    are pointwise upper bounds on the larger fill's fixpoint — exactly
-    the seeding precondition of
-    :func:`~repro.core.dp_vectorized.seed_warm_table`.
-    """
-    indices, counts = base_key[0], base_key[1]
-    max_jobs = base_key[3] if len(base_key) > 3 else None
-    return (indices, counts, max_jobs)
-
-
-def _warm_budget(base_key) -> int:
-    """The scaled budget component of a DP key."""
-    return int(base_key[2])
 
 
 def normalized_request_key(
@@ -316,8 +299,7 @@ def normalized_request_key(
     The key extends the probe-level normalization one level up: ``eps``
     enters the scheduling path only through the accuracy parameter
     ``k = ceil(1/eps)`` (rounding, configuration enumeration, and the
-    DP all see ``k``, never ``eps`` itself — the same collapse
-    :meth:`ProbeCache.rounding` exploits), so requests at different
+    DP all see ``k``, never ``eps`` itself), so requests at different
     ``eps`` with equal ``k`` coalesce.  The search strategy and backend
     stay in the key: both searches converge to the same final target
     but keep different best-schedule tie-breaks and iteration counts,
@@ -332,29 +314,32 @@ def normalized_request_key(
     return (instance.model, instance, accuracy_k(eps), str(search), backend)
 
 
-class ProbeCache:
-    """Memoizes rounding, configuration enumeration, and DP-tables.
+class ProbeCache(NullProbeCache):
+    """Memoizes DP-tables across probes, keyed on :func:`fill_key`.
 
     Share one instance across an entire search — and across searches
-    and instances of a batch — to reuse everything reusable.  See the
+    and instances of a batch — to reuse every table reusable.  See the
     module docstring for the keying scheme and the opt-in rationale;
     ``docs/PERFORMANCE.md`` for tuning guidance.
 
     Parameters
     ----------
-    share_dp:
-        When ``False``, only rounding and configuration enumeration
-        are cached and every probe still runs its DP solver.  Use
-        this when the solver's side effects matter (e.g. the
-        simulated engines accumulating per-probe hardware time).
     capacity:
-        Maximum entries *per artifact kind*; least-recently-used
+        Maximum number of cached DP results; least-recently-used
         entries are evicted past it (tallied in ``stats.evictions``
-        and the ``cache.<kind>.evicted`` counter).  ``None`` keeps the
+        and the ``cache.dp.evicted`` counter).  ``None`` keeps the
         historical unbounded behaviour.  The default bounds a
-        long-lived batch service: DP entries hold full tables, so an
+        long-lived batch service: entries hold full tables, so an
         unbounded cache fed adversarial probe mixes grows without
         limit.
+
+    All *exact* solvers produce identical tables for identical inputs
+    (tested), so their tables share one entry per key.  Solvers whose
+    results are valid only under extra context — a budget-bound
+    ``auto`` kernel, whose clamped tables depend on the machine budget
+    — advertise a ``dp_cache_token`` that extends the key, so a
+    clamped table is never served to a different budget (or to an
+    exact solver).
 
     A DP miss whose solver advertises ``supports_warm_start`` is
     seeded from the cached table of the *nearest smaller scaled
@@ -368,168 +353,72 @@ class ProbeCache:
     early-accepted with non-final interior cells, so the two must
     never alias.  Lookups consult the cold key first, then the warm
     key (a warm table answers strictly more).
+
+    :meth:`rounding` and :meth:`configurations` are inherited: they
+    derive fresh and tally one ``miss`` per call under the
+    ``rounding`` / ``configs`` kinds, so ``stats.misses["configs"]``
+    counts real enumerations.
     """
 
-    def __init__(
-        self,
-        share_dp: bool = True,
-        capacity: Optional[int] = 4096,
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = 4096) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("ProbeCache capacity must be >= 1 (or None)")
-        self.share_dp = share_dp
+        super().__init__()
         self.capacity = capacity
-        self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._rounding: "OrderedDict[Tuple[Instance, int, int], RoundedInstance]" = (
-            OrderedDict()
-        )
-        self._configs: "OrderedDict[NormalizedKey, np.ndarray]" = OrderedDict()
-        self._dp: "OrderedDict[Tuple[NormalizedKey, object], DPResult]" = OrderedDict()
+        self._dp: "OrderedDict[tuple, DPResult]" = OrderedDict()
         #: warm-start index: (family, token) -> {scaled budget: dp key}.
         #: Entries are validated against ``_dp`` lazily (evictions there
         #: leave stale pointers here, pruned on the next lookup).
         self._warm_index: Dict[tuple, Dict[int, tuple]] = {}
-        #: cache outcomes of the most recent probe ("hit"/"miss" per
-        #: kind) — consumed by the per-probe trace events.
-        self.last_events: Dict[str, str] = {}
-
-    # -- artifacts ----------------------------------------------------------
-
-    def rounding(self, instance: Instance, target: int, eps: float) -> RoundedInstance:
-        """Memoized :func:`~repro.core.rounding.round_instance`.
-
-        Keyed on the exact ``(instance, target, k)`` — rounding
-        depends on nothing else (:class:`~repro.core.instance.Instance`
-        is frozen and hashable).
-        """
-        key = (instance, int(target), accuracy_k(eps))
-        value = self._lookup(self._rounding, key)
-        hit = value is not _MISS
-        if not hit:
-            value = round_instance(instance, target, eps)
-            value = self._store("rounding", self._rounding, key, value)
-        self._note("rounding", hit)
-        return value
-
-    def configurations(
-        self, rounded: RoundedInstance, fill: Optional["FillSpec"] = None
-    ) -> np.ndarray:
-        """Memoized configuration set ``C`` for a rounded probe.
-
-        Returned arrays are shared and marked read-only; copy before
-        mutating (no library code mutates them).  A non-default
-        ``fill`` (other budget or job cap — the new machine models) is
-        keyed by its own normalized identity.
-        """
-        if _is_default_fill(rounded, fill):
-            key = normalized_probe_key(rounded)
-        else:
-            key = _fill_key(rounded, fill)
-        value = self._lookup(self._configs, key)
-        hit = value is not _MISS
-        if not hit:
-            if _is_default_fill(rounded, fill):
-                configs = enumerate_configurations(
-                    rounded.class_sizes, rounded.counts, rounded.target
-                )
-            else:
-                configs = fill.enumerate()
-            configs.setflags(write=False)
-            value = self._store("configs", self._configs, key, configs)
-        self._note("configs", hit)
-        return value
 
     def dp(
         self, rounded: RoundedInstance, solver, fill: Optional["FillSpec"] = None
     ) -> DPResult:
-        """DP-table for a rounded probe, via ``solver`` on a miss.
+        """DP-table for one fill of a rounded probe, via ``solver`` on a miss.
 
         ``solver`` follows the :class:`~repro.core.ptas.DPSolver`
-        protocol and receives the (cached) configuration set, so a
-        miss still skips re-enumeration.  All *exact* solvers produce
-        identical tables for identical inputs (tested), so their
-        tables share one entry per normalized key.  Solvers whose
-        results are valid only under extra context — a budget-bound
-        ``auto`` kernel, whose clamped tables depend on the budget —
-        advertise a ``dp_cache_token`` that extends the key, so a
-        clamped table is never served to a different budget (or to an
-        exact solver).  ``fill`` (a model's
-        :class:`~repro.models.base.FillSpec`) selects the budget, job
-        cap, and plan token; the default fill keeps the pre-model keys
-        and call shape exactly.
+        protocol; ``fill`` (a model's :class:`~repro.models.base.FillSpec`,
+        default the identical fill) selects the budget, job cap, and
+        plan token.
         """
-        default = _is_default_fill(rounded, fill)
-        if not self.share_dp:
-            configs = self.configurations(rounded, fill=fill)
-            if default:
-                return solver(
-                    rounded.counts,
-                    rounded.class_sizes,
-                    rounded.target,
-                    configs=configs,
-                )
-            return solver(
-                fill.counts,
-                fill.class_sizes,
-                fill.budget,
-                configs=configs,
-                **_fill_kwargs(fill),
-            )
-        base_key = (
-            normalized_probe_key(rounded) if default else _fill_key(rounded, fill)
-        )
+        fill = _resolve_fill(rounded, fill)
+        base_key = fill_key(rounded, fill)
         token = getattr(solver, "dp_cache_token", None)
         key = (base_key, token)
         warm_key = (base_key, ("warm", token))
-        value = self._lookup(self._dp, key)
+        value = self._lookup(key)
         if value is _MISS:
             # A warm-started table is the full fixpoint — it answers
             # anything a cold table would, so serve it when present.
-            value = self._lookup(self._dp, warm_key)
+            value = self._lookup(warm_key)
         hit = value is not _MISS
         if not hit:
-            configs = self.configurations(rounded, fill=fill)
-            kwargs = {} if default else _fill_kwargs(fill)
             warm_table = None
             if getattr(solver, "supports_warm_start", False):
                 warm_table = self._warm_source(base_key, token)
                 self._note("warmstart", warm_table is not None)
-            if warm_table is not None:
-                kwargs["warm_table"] = warm_table
-            if default:
-                result = solver(
-                    rounded.counts,
-                    rounded.class_sizes,
-                    rounded.target,
-                    configs=configs,
-                    **kwargs,
-                )
+            if warm_table is None:
+                store_key = key
+                result = self._solve(rounded, solver, fill)
             else:
-                result = solver(
-                    fill.counts,
-                    fill.class_sizes,
-                    fill.budget,
-                    configs=configs,
-                    **kwargs,
-                )
-            store_key = warm_key if warm_table is not None else key
-            value = self._store("dp", self._dp, store_key, result)
+                store_key = warm_key
+                result = self._solve(rounded, solver, fill, warm_table=warm_table)
+            value = self._store(store_key, result)
             self._register_warm(base_key, token, store_key)
         self._note("dp", hit)
         return value
 
-    def _warm_source(self, base_key, token) -> Optional[np.ndarray]:
+    def _warm_source(self, base_key: FillKey, token) -> Optional[np.ndarray]:
         """The cached table of the nearest smaller same-family budget.
 
         Returns the table array (or ``None``).  Stale index entries —
         pointers into evicted ``_dp`` slots — are pruned as they are
         encountered.
         """
-        family = (_warm_family(base_key), token)
-        budget = _warm_budget(base_key)
+        indices, counts, budget, max_jobs = base_key
         with self._lock:
-            budgets = self._warm_index.get(family)
+            budgets = self._warm_index.get(((indices, counts, max_jobs), token))
             if not budgets:
                 return None
             best = None
@@ -546,69 +435,68 @@ class ProbeCache:
         table = best.table
         return None if table.ndim == 0 else table
 
-    def _register_warm(self, base_key, token, store_key) -> None:
-        """Index one stored DP result as a future warm-start source."""
-        family = (_warm_family(base_key), token)
+    def _register_warm(self, base_key: FillKey, token, store_key) -> None:
+        """Index one stored DP result as a future warm-start source.
+
+        A key's family is everything but the scaled budget: two fills
+        in one family differ only in the budget, so the smaller
+        budget's configuration set is a subset of the larger's and its
+        table values are pointwise upper bounds on the larger fill's
+        fixpoint — exactly the seeding precondition of
+        :func:`~repro.core.dp_vectorized.seed_warm_table`.
+        """
+        indices, counts, budget, max_jobs = base_key
+        family = ((indices, counts, max_jobs), token)
         with self._lock:
-            self._warm_index.setdefault(family, {})[
-                _warm_budget(base_key)
-            ] = store_key
+            self._warm_index.setdefault(family, {})[budget] = store_key
 
     # -- bookkeeping --------------------------------------------------------
 
-    def _lookup(self, store: "OrderedDict", key: object) -> object:
+    def _lookup(self, key: tuple) -> object:
         """Locked LRU read: hit refreshes recency, miss returns ``_MISS``."""
         with self._lock:
-            if key in store:
-                store.move_to_end(key)
-                return store[key]
+            if key in self._dp:
+                self._dp.move_to_end(key)
+                return self._dp[key]
         return _MISS
 
-    def _store(self, kind: str, store: "OrderedDict", key: object, value: object):
+    def _store(self, key: tuple, value: DPResult) -> DPResult:
         """Locked insert with LRU eviction past ``capacity``.
 
         Returns the entry actually cached — a concurrent double-miss
-        keeps the first writer's artifact so every caller shares one
+        keeps the first writer's table so every caller shares one
         object, matching the idempotent-insert contract.
         """
         evicted = 0
         with self._lock:
-            if key in store:
-                store.move_to_end(key)
-                return store[key]
-            store[key] = value
+            if key in self._dp:
+                self._dp.move_to_end(key)
+                return self._dp[key]
+            self._dp[key] = value
             if self.capacity is not None:
-                while len(store) > self.capacity:
-                    store.popitem(last=False)
-                    self.stats.record_eviction(kind)
+                while len(self._dp) > self.capacity:
+                    self._dp.popitem(last=False)
+                    self.stats.record_eviction("dp")
                     evicted += 1
         for _ in range(evicted):
-            obs.count(f"cache.{kind}.evicted")
+            obs.count("cache.dp.evicted")
         return value
 
     def _note(self, kind: str, hit: bool) -> None:
-        # The lock covers the read-modify-write tallies; the artifact
-        # dicts themselves rely on the GIL (idempotent inserts — a
-        # concurrent double-miss wastes one solve, never corrupts).
         with self._lock:
             self.stats.record(kind, hit)
             self.last_events[kind] = "hit" if hit else "miss"
         obs.count(f"cache.{kind}.{'hit' if hit else 'miss'}")
 
-    def begin_probe(self) -> None:
-        """Reset the per-probe event snapshot (called by the probe)."""
-        self.last_events = {}
-
     def clear(self) -> None:
-        """Drop every cached artifact (stats are retained)."""
-        self._rounding.clear()
-        self._configs.clear()
-        self._dp.clear()
-        self._warm_index.clear()
+        """Drop every cached table (stats are retained)."""
+        with self._lock:
+            self._dp.clear()
+            self._warm_index.clear()
 
     def __len__(self) -> int:
-        """Total number of cached artifacts across all kinds."""
-        return len(self._rounding) + len(self._configs) + len(self._dp)
+        """Number of cached DP results."""
+        return len(self._dp)
 
 
 def _require_configs_for_token(model_token: Optional[tuple], configs) -> None:
@@ -658,7 +546,7 @@ class PlanCache:
     The plan layer is pure structure — functions of the table shape and
     configuration set only — so it is *always* safe to share, even for
     the simulated engines whose DP results must not be shared
-    (``ProbeCache(share_dp=False)``): a plan hit skips re-deriving
+    (they run with ``cache=None``): a plan hit skips re-deriving
     levels, work profiles, and block schedules, while every engine
     still pays its own modelled hardware time for executing them.
 

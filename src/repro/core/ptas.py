@@ -199,7 +199,7 @@ def probe_target(
     pre-model library (tested).
 
     ``cache`` (a :class:`~repro.core.probe_cache.ProbeCache`) reuses
-    rounding, configuration enumeration, and DP-tables across probes;
+    DP-tables across probes (and across models whose fills coincide);
     the probe's outcome is bit-identical with or without it (tested).
     Warm-capable solvers may seed from a cached table at a nearby
     smaller target, which preserves the feasibility verdict and the

@@ -58,16 +58,6 @@ class SparsifyStats:
     #: configurations removed.
     dropped: int
 
-    @property
-    def total(self) -> int:
-        """Size of the input configuration set."""
-        return self.kept + self.dropped
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of the input set removed (0.0 for an empty set)."""
-        return self.dropped / self.total if self.total else 0.0
-
 
 def maximal_mask(
     configs: np.ndarray,

@@ -160,11 +160,6 @@ class BlockedSchedule:
                 groups.append(_frozen(np.concatenate(per_inlevel[lvl])))
         return tuple(groups)
 
-    @property
-    def num_kernels(self) -> int:
-        """Total FindOPT launches (``num_blocks * num_inblock_levels``)."""
-        return sum(len(level) for level in self.by_block_level)
-
 
 class ProbePlan:
     """Everything shape-derived one DP probe needs, computed once.
@@ -466,22 +461,6 @@ class _build_timer:
     def __exit__(self, *exc_info: object) -> None:
         elapsed_ms = (time.perf_counter() - self._start) * 1e3
         obs.count("plan.build_ms", elapsed_ms)
-        _note_build_ms(elapsed_ms)
-
-
-#: Running total of plan-layer build milliseconds in this process —
-#: consumed by PlanCache instances to attribute build cost without
-#: requiring an active tracer (benchmarks read it directly).
-_BUILD_MS_TOTAL: list[float] = [0.0]
-
-
-def _note_build_ms(elapsed_ms: float) -> None:
-    _BUILD_MS_TOTAL[0] += elapsed_ms
-
-
-def total_build_ms() -> float:
-    """Plan-layer build milliseconds accumulated in this process."""
-    return _BUILD_MS_TOTAL[0]
 
 
 def plan_signature(

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.backends import get_spec, resolve
+from repro.backends import resolve
 from repro.core.executor import (
     ConcurrentDeviceExecutor,
     ProbeExecutor,
@@ -84,13 +84,11 @@ def run_ptas(
     engines get a :class:`ConcurrentDeviceExecutor` sized to their
     ``spec.warp_slots``, everything else a :class:`SequentialExecutor`.
 
-    ``cache`` should be a ``ProbeCache(share_dp=False)`` when faithful
-    per-probe simulated-time accounting matters: rounding and
-    configuration enumeration are then reused (pure harness speedup)
-    while the engine still fills — and charges — every probe.  A full
-    ``ProbeCache()`` also skips the engine on repeated probes, which
-    understates ``simulated_s`` relative to the paper's cacheless
-    implementation.
+    Leave ``cache=None`` when faithful per-probe simulated-time
+    accounting matters: the engine then fills — and charges — every
+    probe, as the paper's cacheless implementation did.  A
+    ``ProbeCache()`` serves repeated fills from its DP-table memo and
+    skips the engine on them, which understates ``simulated_s``.
     """
     solver = resolve(backend) if isinstance(backend, str) else backend
     if executor is None:
@@ -182,9 +180,8 @@ def run_ptas_gpu(
     property-tested).
 
     One ``cache`` serves all four concurrent segment probes of an
-    iteration; see :func:`run_ptas` for the ``share_dp`` accounting
-    caveat (pass ``ProbeCache(share_dp=False)`` to keep Table
-    VII-faithful simulated times).
+    iteration; see :func:`run_ptas` for the accounting caveat (leave
+    ``cache=None`` to keep Table VII-faithful simulated times).
     """
     from repro.core.quarter_split import quarter_split_search
 
@@ -205,14 +202,3 @@ def run_ptas_gpu(
         simulated_s=executor.elapsed_s,
         dp_table_sizes=tuple(r.table_size for r in engine.runs),
     )
-
-
-def backend_label(backend: Union[str, DPSolver]) -> str:
-    """Human-facing label for a backend name or instance.
-
-    Registry names resolve to their canonical spec name; instances use
-    their ``name`` attribute when present.
-    """
-    if isinstance(backend, str):
-        return get_spec(backend).name
-    return getattr(backend, "name", None) or type(backend).__name__

@@ -537,16 +537,6 @@ def _fabric_work(task: tuple) -> int:
     )
 
 
-def _reset_worker_caches() -> None:
-    """Close and forget this process's attachments (tests / reuse)."""
-    for store in (_W_PLANS, _W_TABLES):
-        for entry in store.values():
-            for view_key in ("configs", "order", "table"):
-                entry.pop(view_key, None)
-            entry["shm"].close()
-        store.clear()
-
-
 # ---------------------------------------------------------------------------
 # Health
 # ---------------------------------------------------------------------------
@@ -861,22 +851,23 @@ class BlockExecutor:
 
     # -- supervision ---------------------------------------------------------
 
-    def _maybe_kill_worker(self, procs: list, wave: int) -> None:
+    def _maybe_kill_worker(self, procs: list, wave: int) -> bool:
         """Realise a ``fabric.worker`` chaos decision as a real SIGKILL.
 
         Any kind drawn at the site means the same thing here: an OOMed,
         segfaulted, or wedged worker all present to the parent as a
         process that stops answering.  The short sleep lets workers
         pick their wave tasks up first, so the kill usually lands
-        mid-task — the case recovery exists for.
+        mid-task — the case recovery exists for.  Returns whether a
+        kill was delivered.
         """
         if self.faults is None:
-            return
+            return False
         decide = getattr(self.faults, "decide", None)
         if decide is None:
-            return
+            return False
         if decide("fabric.worker", target=int(wave)) is None:
-            return
+            return False
         time.sleep(0.05)
         for proc in procs:
             if proc.pid is None or proc.exitcode is not None:
@@ -888,7 +879,8 @@ class BlockExecutor:
             with self._lock:
                 self._worker_kills += 1
             obs.count("fabric.recovery.worker_kills")
-            return
+            return True
+        return False
 
     def _dispatch_once(self, pool, tasks: list, wave: int):
         """One supervised dispatch of a wave's tasks.
@@ -899,6 +891,14 @@ class BlockExecutor:
         ``BrokenProcessPool`` immediately, so the wait below returns
         promptly on a crash; the deadline only has to catch workers
         that are wedged but still alive.
+
+        A delivered chaos kill loses the wave even when every future
+        already completed: the killed worker may have died holding the
+        call-queue lock, and ``ProcessPoolExecutor`` can miss the death
+        when a result or the shutdown wakeup arrives together with it —
+        a clean shutdown then waits forever on a survivor blocked on
+        that lock.  The caller force-retires the pool and re-executes
+        the wave, which is idempotent.
         """
         try:
             pending = [pool.submit(_fabric_work, t) for t in tasks]
@@ -911,7 +911,8 @@ class BlockExecutor:
             # executor mid-spawn surfaces as a raw OSError ("handle is
             # closed") from the spawn machinery, not BrokenProcessPool.
             return None, "pool-broken"
-        self._maybe_kill_worker(self._worker_processes(pool), wave)
+        if self._maybe_kill_worker(self._worker_processes(pool), wave):
+            return None, "worker-killed"
         _, not_done = futures_wait(pending, timeout=self.wave_deadline_s)
         if not_done:
             for fut in not_done:

@@ -220,13 +220,6 @@ class TenantQuota:
             else:
                 self._in_flight[tenant] = held - 1
 
-    def in_flight(self, tenant: Optional[str] = None) -> int:
-        """Currently admitted requests, for one tenant or in total."""
-        with self._lock:
-            if tenant is not None:
-                return self._in_flight.get(tenant, 0)
-            return sum(self._in_flight.values())
-
     def snapshot(self) -> Dict[str, int]:
         """``{tenant: in-flight count}`` for every occupied tenant."""
         with self._lock:

@@ -8,7 +8,7 @@ simulated backoff, and per-probe deadlines — behind a single
 :func:`~repro.core.ptas.probe_target`.  The order of operations per
 probe:
 
-1. **Admission** — estimate the fill footprint from the (cached)
+1. **Admission** — estimate the fill footprint from the probe's
    rounding and refuse over-budget probes with
    :class:`~repro.errors.MemoryBudgetExceeded` *before* anything is
    allocated.
@@ -74,10 +74,10 @@ class ResiliencePolicy:
         from repro.core.ptas import probe_target
 
         if self.admission is not None:
-            # Rounding is memoized (and re-used by the probe below), so
-            # the admission estimate costs arithmetic only — and runs
-            # strictly before any table allocation.  admit_probe is
-            # model-aware: multi-fill models are charged every fill.
+            # The admission estimate costs one rounding plus arithmetic
+            # and runs strictly before any table allocation.
+            # admit_probe is model-aware: multi-fill models are
+            # charged every fill.
             rounded = as_cache(cache).rounding(instance, int(target), eps)
             self.admission.admit_probe(rounded, target=int(target))
 

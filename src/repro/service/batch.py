@@ -297,8 +297,8 @@ class BatchScheduler:
         # daemon (repro.service.daemon): both front-ends drive the same
         # ProbePipeline, which owns the resilience policy, the shared
         # plan cache (plans are pure structure, so sharing is always
-        # sound — even when the probe cache is off or share_dp=False
-        # keeps simulated timing honest), and degradation.
+        # sound — even when the probe cache is off to keep simulated
+        # timing honest), and degradation.
         resilience, faults = build_resilience(
             faults=faults,
             retry=retry,

@@ -8,6 +8,7 @@ that headline.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +16,12 @@ from repro.core.bisection import bisection_search
 from repro.core.dp_reference import dp_reference
 from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import Instance, uniform_instance
-from repro.core.probe_cache import CacheStats, ProbeCache, normalized_probe_key
+from repro.core.probe_cache import CacheStats, ProbeCache, fill_key
 from repro.core.ptas import probe_target, ptas_schedule
 from repro.core.quarter_split import quarter_split_search
 from repro.core.rounding import round_instance
+from repro.models import lift_to_few_types, model_for
+from repro.models.base import FillSpec
 
 instances = st.builds(
     Instance,
@@ -31,7 +34,12 @@ class TestNormalizedKey:
     def test_same_probe_same_key(self, small_instance):
         r1 = round_instance(small_instance, 40, 0.3)
         r2 = round_instance(small_instance, 40, 0.3)
-        assert normalized_probe_key(r1) == normalized_probe_key(r2)
+        assert fill_key(r1) == fill_key(r2)
+
+    def test_none_is_the_identical_fill(self, small_instance):
+        rounded = round_instance(small_instance, 40, 0.3)
+        (fill,) = model_for(small_instance).fills(rounded)
+        assert fill_key(rounded) == fill_key(rounded, fill)
 
     def test_scale_invariance_across_targets(self):
         # Two targets whose rounding yields the same class indices,
@@ -41,7 +49,7 @@ class TestNormalizedKey:
         keys = set()
         for target in (160, 164):
             rounded = round_instance(inst, target, 0.3)
-            keys.add(normalized_probe_key(rounded))
+            keys.add(fill_key(rounded))
         assert len(keys) == 1
 
     def test_key_feasibility_equivalence(self):
@@ -52,29 +60,52 @@ class TestNormalizedKey:
         cache = ProbeCache()
         r1 = round_instance(inst, 160, 0.3)
         r2 = round_instance(inst, 164, 0.3)
-        assert normalized_probe_key(r1) == normalized_probe_key(r2)
-        from repro.core.configs import configurations_for
+        assert fill_key(r1) == fill_key(r2)
+        np.testing.assert_array_equal(
+            cache.configurations(r1), cache.configurations(r2)
+        )
 
-        np.testing.assert_array_equal(configurations_for(r1), configurations_for(r2))
+    def test_budget_and_job_cap_separate_keys(self, small_instance):
+        rounded = round_instance(small_instance, 40, 0.3)
+        base = dict(counts=rounded.counts, class_sizes=rounded.class_sizes)
+        keys = {
+            fill_key(rounded, FillSpec(budget=rounded.target, **base)),
+            fill_key(rounded, FillSpec(budget=2 * rounded.target, **base)),
+            fill_key(rounded, FillSpec(budget=rounded.target, max_jobs=2, **base)),
+        }
+        assert len(keys) == 3
+
+    def test_one_type_lift_shares_the_identical_entry(self, medium_instance):
+        # A 1-type unit-speed few-types fill keys exactly like the
+        # identical fill, so an exact solver serves the lift from the
+        # identical probe's entry — the same table object.
+        cache = ProbeCache()
+        lifted = lift_to_few_types(medium_instance)
+        plain = probe_target(medium_instance, 80, 0.3, dp_vectorized, cache=cache)
+        assert cache.stats.misses["dp"] == 1
+        again = probe_target(lifted, 80, 0.3, dp_vectorized, cache=cache)
+        assert cache.stats.hits["dp"] == 1
+        assert cache.last_events["dp"] == "hit"
+        assert again.dp_result is plain.dp_result
+        assert len(cache) == 1
 
 
 class TestProbeCacheUnits:
-    def test_rounding_memoized(self, small_instance):
+    def test_rounding_and_configs_are_derived_fresh_per_call(self, small_instance):
+        # Only DP-tables are memoized; every rounding/enumeration call
+        # is a real derivation tallied as one miss.
         cache = ProbeCache()
         a = cache.rounding(small_instance, 40, 0.3)
         b = cache.rounding(small_instance, 40, 0.3)
-        assert a is b
-        assert cache.stats.hits["rounding"] == 1
-        assert cache.stats.misses["rounding"] == 1
-
-    def test_configs_memoized_and_read_only(self, small_instance):
-        cache = ProbeCache()
-        rounded = cache.rounding(small_instance, 40, 0.3)
-        a = cache.configurations(rounded)
-        b = cache.configurations(rounded)
-        assert a is b
-        assert not a.flags.writeable
-        assert cache.stats.hit_rate("configs") == 0.5
+        assert a == b
+        first = cache.configurations(a)
+        second = cache.configurations(a)
+        assert first is not second
+        np.testing.assert_array_equal(first, second)
+        assert not first.flags.writeable
+        assert cache.stats.misses == {"rounding": 2, "configs": 2}
+        assert cache.stats.hits == {}
+        assert len(cache) == 0
 
     def test_dp_memoized_across_solvers(self, small_instance):
         # A table cached under one solver serves another — all solvers
@@ -85,29 +116,20 @@ class TestProbeCacheUnits:
         b = cache.dp(rounded, dp_reference)
         assert a is b
 
-    def test_share_dp_false_still_caches_configs(self, small_instance):
-        calls = []
-
-        def counting_solver(counts, class_sizes, target, configs=None):
-            calls.append(target)
-            assert configs is not None  # enumeration still cached
-            return dp_vectorized(counts, class_sizes, target, configs)
-
-        cache = ProbeCache(share_dp=False)
+    def test_dp_miss_enumerates_once_and_hit_not_at_all(self, small_instance):
+        cache = ProbeCache()
         rounded = cache.rounding(small_instance, 40, 0.3)
-        cache.dp(rounded, counting_solver)
-        cache.dp(rounded, counting_solver)
-        assert len(calls) == 2  # solver ran both times
-        assert cache.stats.hits["configs"] == 1
-        assert "dp" not in cache.stats.hits  # nothing DP-cached
+        cache.dp(rounded, dp_vectorized)
+        cache.dp(rounded, dp_vectorized)
+        assert cache.stats.misses["configs"] == 1
 
     def test_clear_drops_artifacts_keeps_stats(self, small_instance):
         cache = ProbeCache()
-        cache.rounding(small_instance, 40, 0.3)
-        assert len(cache) > 0
+        cache.dp(cache.rounding(small_instance, 40, 0.3), dp_vectorized)
+        assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.misses["rounding"] == 1
+        assert cache.stats.misses["dp"] == 1
 
 
 class TestCacheStats:
@@ -126,21 +148,37 @@ class TestCacheStats:
 
 
 class TestCachedProbeEquivalence:
-    def test_probe_identical_with_and_without_cache(self, medium_instance):
-        from repro.core.bounds import makespan_bounds
+    MODELS = (
+        {},
+        {
+            "model": "unrelated-few-types",
+            "type_speeds": (1, 2),
+            "machines_per_type": (2, 2),
+        },
+        {"model": "time-restricted", "max_jobs_per_machine": 7},
+    )
 
-        bounds = makespan_bounds(medium_instance)
-        cache = ProbeCache()
-        for target in range(bounds.lower, bounds.upper, max(1, bounds.width // 7)):
-            plain = probe_target(medium_instance, target, 0.3)
-            cached = probe_target(medium_instance, target, 0.3, cache=cache)
-            assert cached.accepted == plain.accepted
-            assert cached.machines_needed == plain.machines_needed
-            np.testing.assert_array_equal(
-                cached.dp_result.table, plain.dp_result.table
+    def test_probe_identical_with_and_without_cache(self, medium_instance):
+        for model_fields in self.MODELS:
+            inst = Instance(
+                times=medium_instance.times,
+                machines=medium_instance.machines,
+                **model_fields,
             )
-            if plain.schedule is not None:
-                assert cached.schedule.assignment == plain.schedule.assignment
+            bounds = model_for(inst).bounds(inst)
+            cache = ProbeCache()
+            step = max(1, bounds.width // 7)
+            for target in range(bounds.lower, bounds.upper, step):
+                plain = probe_target(inst, target, 0.3)
+                cached = probe_target(inst, target, 0.3, cache=cache)
+                assert cached.accepted == plain.accepted
+                assert cached.machines_needed == plain.machines_needed
+                assert len(cached.dp_results) == len(plain.dp_results)
+                for got, want in zip(cached.dp_results, plain.dp_results):
+                    np.testing.assert_array_equal(got.table, want.table)
+                if plain.schedule is not None:
+                    assert cached.schedule.assignment == plain.schedule.assignment
+            assert cache.stats.misses["dp"] > 0, inst.model
 
 
 class TestCachedSearchEquivalence:
@@ -199,40 +237,44 @@ class TestCachedSearchEquivalence:
 
 
 class TestLRUBounding:
-    INSTANCE = uniform_instance(8, 2, low=5, high=70, seed=9)
+    ROUNDED = round_instance(uniform_instance(8, 2, low=5, high=70, seed=9), 100, 0.3)
 
-    def _round(self, cache, target):
-        return cache.rounding(self.INSTANCE, target, 0.3)
+    def _dp(self, cache, i):
+        # Fill i: budget T + i units — one distinct key per i.
+        r = self.ROUNDED
+        fill = FillSpec(
+            counts=r.counts, class_sizes=r.class_sizes, budget=r.target + i * r.unit
+        )
+        return cache.dp(r, dp_vectorized, fill=fill)
 
-    def _fill_rounding(self, cache, n):
+    def _fill_dp(self, cache, n):
         for i in range(n):
-            self._round(cache, 100 + i)
+            self._dp(cache, i)
 
     def test_capacity_evicts_least_recently_used(self):
         cache = ProbeCache(capacity=3)
-        self._fill_rounding(cache, 3)  # targets 100, 101, 102
-        self._round(cache, 100)        # refresh the oldest entry
-        self._round(cache, 199)        # evicts 101, not 100
-        assert cache.stats.evictions.get("rounding") == 1
-        self._round(cache, 100)        # still cached -> hit
-        assert cache.stats.hits["rounding"] == 2
-        self._round(cache, 101)        # evicted -> miss
-        assert cache.stats.misses["rounding"] == 5
+        self._fill_dp(cache, 3)  # fills 0, 1, 2
+        self._dp(cache, 0)       # refresh the oldest entry
+        self._dp(cache, 9)       # evicts 1, not 0
+        assert cache.stats.evictions.get("dp") == 1
+        self._dp(cache, 0)       # still cached -> hit
+        assert cache.stats.hits["dp"] == 2
+        self._dp(cache, 1)       # evicted -> miss
+        assert cache.stats.misses["dp"] == 5
 
     def test_unbounded_cache_never_evicts(self):
         cache = ProbeCache(capacity=None)
-        self._fill_rounding(cache, 50)
+        self._fill_dp(cache, 50)
         assert len(cache) == 50
         assert cache.stats.total_evictions == 0
 
     def test_capacity_bounds_every_kind(self):
+        # DP results are the one memoized kind.
         inst = uniform_instance(24, 4, low=5, high=70, seed=9)
-        cache = ProbeCache(capacity=2)
+        cache = ProbeCache(capacity=1)
         ptas_schedule(inst, eps=0.3, cache=cache)
-        # Each artifact store is individually bounded.
-        assert len(cache._rounding) <= 2
-        assert len(cache._configs) <= 2
-        assert len(cache._dp) <= 2
+        assert cache.stats.evictions["dp"] >= 1
+        assert len(cache) == 1
 
     def test_bounded_cache_results_identical(self):
         inst = uniform_instance(24, 4, low=5, high=70, seed=9)
@@ -243,15 +285,13 @@ class TestLRUBounding:
 
     def test_eviction_appears_in_as_dict_only_when_nonzero(self):
         cache = ProbeCache(capacity=1)
-        self._fill_rounding(cache, 3)
-        spec = cache.stats.as_dict()["rounding"]
+        self._fill_dp(cache, 3)
+        spec = cache.stats.as_dict()["dp"]
         assert spec["evictions"] == 2
         fresh = ProbeCache()
-        self._round(fresh, 100)
-        assert "evictions" not in fresh.stats.as_dict()["rounding"]
+        self._dp(fresh, 0)
+        assert "evictions" not in fresh.stats.as_dict()["dp"]
 
     def test_invalid_capacity_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             ProbeCache(capacity=0)

@@ -4,6 +4,7 @@ contract (repro.parallel.fabric)."""
 
 import os
 import subprocess
+import threading
 
 import numpy as np
 import pytest
@@ -133,6 +134,39 @@ class TestWorkerCrashRecovery:
             second = fab.fill(plan, min_parallel_cells=1)
         assert np.array_equal(ref, first)
         assert np.array_equal(ref, second)
+
+    def test_kill_after_the_last_wave_never_hangs_close(self):
+        # A kill that lands once the last wave's futures completed can
+        # leave a survivor blocked on the call-queue lock the killed
+        # worker held; a clean close() then waited on it forever.  The
+        # delivered kill must retire the pool and re-run the wave.
+        plan = build_probe_plan(*PLAN_ARGS)
+        ref = _serial_reference(plan)
+        last_wave = len(plan.level_schedule.boundaries) - 2
+        before = _segments()
+        hung = []
+        for seed in range(12):
+            inj = _killer(
+                seed=seed, match=lambda site, inst, target: target == last_wave
+            )
+            fab = BlockExecutor(workers=2, faults=inj)
+            got = fab.fill(plan, min_parallel_cells=1)
+            health = fab.health()
+            assert np.array_equal(ref, got)
+            assert health.workers_killed == 1
+            assert health.waves_reexecuted == 1
+            pool = fab._pool
+            closer = threading.Thread(target=fab.close, daemon=True)
+            closer.start()
+            closer.join(timeout=30)
+            if closer.is_alive():
+                # Unblock the stuck shutdown so the suite can go on.
+                hung.append(seed)
+                for proc in BlockExecutor._worker_processes(pool):
+                    proc.kill()
+                closer.join(timeout=30)
+        assert hung == [], f"close() hung in {len(hung)} of 12 runs"
+        assert _segments() == before
 
     def test_wave_deadline_is_treated_as_a_lost_wave(self):
         plan = build_probe_plan(*PLAN_ARGS)
