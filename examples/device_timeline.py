@@ -21,7 +21,8 @@ from repro.analysis.synthetic import synthetic_probe
 from repro.dptable.partition import BlockPartition, compute_divisor
 from repro.dptable.table import TableGeometry
 from repro.engines import HybridEngine
-from repro.engines.costmodel import DEFAULT_COSTS, WorkProfile
+from repro.dptable.plan import build_probe_plan
+from repro.engines.costmodel import DEFAULT_COSTS
 from repro.gpusim import GpuSimulator, KernelSpec, TraceRecorder, render_timeline
 from repro.gpusim.memory import AccessPattern
 from repro.gpusim.spec import KEPLER_K40
@@ -34,16 +35,16 @@ def timeline_demo() -> None:
     probe = synthetic_probe((6, 6, 6, 4, 4))  # 6912 cells
     geometry = TableGeometry.from_counts(probe.counts)
     partition = BlockPartition(geometry, compute_divisor(geometry.shape, 5))
-    profile = WorkProfile(probe.counts, probe.class_sizes, probe.target)
+    plan = build_probe_plan(probe.counts, probe.class_sizes, probe.target)
 
     sim = GpuSimulator(KEPLER_K40)
     recorder = TraceRecorder()
     recorder.attach(sim)
 
     op = KEPLER_K40.op_time_s
-    scan = profile.scan_elements(partition.cells_per_block)
+    scan = plan.scan_elements(partition.cells_per_block)
     cost = (
-        profile.thread_ops(DEFAULT_COSTS)
+        plan.thread_ops(DEFAULT_COSTS)
         + scan * DEFAULT_COSTS.gpu_scan_ops_per_element
     ) * op
 

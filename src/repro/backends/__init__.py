@@ -8,8 +8,8 @@ Pure solvers (``simulated=False`` — real wall-clock work, no modelled
 hardware):
 
 * ``"vectorized"`` — :func:`~repro.core.dp_vectorized.dp_vectorized`,
-  the exact relaxation fill (its ``machines=`` clamp is what ``auto``
-  runs for budget-bound probes).
+  the exact relaxation fill over the maximal configurations (its
+  ``machines=`` clamp is what ``auto`` runs for budget-bound probes).
 * ``"auto"`` — :class:`~repro.core.kernels.AutoKernel`, cost-model
   kernel selection per probe (the recommended production default;
   used by :class:`~repro.service.batch.BatchScheduler`).
@@ -89,7 +89,7 @@ def _register_defaults() -> None:
             factory=_solver_factory(dp_vectorized),
             simulated=False,
             concurrency="none",
-            description="vectorized numpy DP fill (production default)",
+            description="vectorized numpy DP fill over the maximal configurations (production default)",
             aliases=("dp-vectorized",),
         )
     )

@@ -177,10 +177,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument(
         "--backend", default="vectorized", metavar="NAME",
         help="DP solver backend from the registry (repro.backends): "
-             "'vectorized' (default), 'auto' (cost-model kernel "
-             "selection per probe; clamps large fills at the machine "
-             "budget), 'sweep', 'reference', 'fallback', or a simulated "
-             "engine such as 'serial', 'omp-28', 'gpu-dim6', 'hybrid'",
+             "'vectorized' (default; exact fill relaxed over the maximal "
+             "configurations), 'auto' (cost-model kernel selection per "
+             "probe; clamps large fills at the machine budget), 'sweep', "
+             "'reference', 'fallback', or a simulated engine such as "
+             "'serial', 'omp-28', 'gpu-dim6', 'hybrid'",
     )
     p_sched.add_argument(
         "--baselines", action="store_true", help="also run LPT and MULTIFIT"
@@ -366,11 +367,11 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             faults=faults,
             degrade=False,
         )
+        request = BatchRequest(instance=inst, eps=args.eps, search=args.search)
     except (BackendError, InvalidInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    request = BatchRequest(instance=inst, eps=args.eps, search=args.search)
     try:
         answer, tracer = pipeline.run(request)
     except MemoryBudgetExceeded as exc:

@@ -7,25 +7,22 @@ move ``LB`` up to ``T + 1``.  The loop maintains the invariant that the
 optimum lies in ``[LB, UB]`` and that every accepted probe has a
 schedule of makespan at most ``(1 + eps) T``.
 
-Each iteration's single probe is submitted to a
-:class:`~repro.core.executor.ProbeExecutor`, which both runs it and
-accounts its simulated time — so the same loop serves the pure solvers
-(zero charge), the host engines (sequential sum), and a device engine
-(work/span bound), with no per-backend copies of the search.
+That is exactly the quarter split (Algorithm 3) over one segment — one
+midpoint per round, and the five-way update collapses to the two-way
+one — so :func:`bisection_search` runs
+:func:`~repro.core.quarter_split.quarter_split_search` with
+``segments=1`` rather than keeping a second copy of the loop.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.core.bounds import makespan_bounds
 from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import Instance
-from repro.core.ptas import DPSolver, ProbeResult, PtasResult
-from repro.core.search_common import finalize_search
-from repro.observability import Tracer, TraceSink, as_tracer
-from repro.observability import context as obs
+from repro.core.ptas import SEARCH_SEGMENTS, DPSolver, PtasResult
+from repro.core.quarter_split import quarter_split_search
+from repro.observability import Tracer, TraceSink
 
 if TYPE_CHECKING:
     from repro.core.executor import ProbeExecutor
@@ -48,49 +45,12 @@ def bisection_search(
     :class:`~repro.core.executor.SequentialExecutor`).  None of the
     three changes the result.
     """
-    tracer = as_tracer(trace)
-    with tracer.activate() if tracer is not None else nullcontext():
-        return _bisection_search(instance, eps, dp_solver, cache, executor)
-
-
-def _bisection_search(
-    instance: Instance,
-    eps: float,
-    dp_solver: DPSolver,
-    cache: Optional["ProbeCache"],
-    executor: Optional["ProbeExecutor"],
-) -> PtasResult:
-    from repro.core.executor import SequentialExecutor
-
-    executor = executor if executor is not None else SequentialExecutor()
-    bounds = makespan_bounds(instance)
-    lb, ub = bounds.lower, bounds.upper
-
-    probes: list[ProbeResult] = []
-    best_accept: Optional[ProbeResult] = None
-    iterations = 0
-
-    while lb < ub:
-        iterations += 1
-        obs.count("search.iterations")
-        target = (lb + ub) // 2
-        probe = executor.run_round(instance, [target], eps, dp_solver, cache=cache)[0]
-        probes.append(probe)
-        if probe.accepted:
-            ub = target
-            best_accept = probe
-        else:
-            lb = target + 1
-
-    return finalize_search(
-        "bisection",
+    return quarter_split_search(
         instance,
         eps,
         dp_solver,
-        executor,
-        cache,
-        probes,
-        best_accept,
-        ub,
-        iterations,
+        segments=SEARCH_SEGMENTS["bisection"],
+        cache=cache,
+        trace=trace,
+        executor=executor,
     )

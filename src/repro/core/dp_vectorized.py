@@ -4,19 +4,22 @@ Equation 1 defines a shortest-path problem on the lattice
 ``prod(n_i + 1)``: edges subtract one configuration, all edges have
 weight 1, and ``OPT(u)`` is the distance from the origin.  Instead of
 walking cells one by one (Algorithm 2), this solver runs *whole-table
-relaxation rounds*: for each configuration ``c`` it takes the
+relaxation rounds* over the maximal configurations only
+(:mod:`repro.core.sparsify`): for each maximal ``c`` it takes the
 elementwise minimum between a shifted view of the table and the table
 plus one —
 
     ``OPT[c_1:, ..., c_d:] = min(OPT[c_1:, ..., c_d:], OPT[:-c_1, ..., :-c_d] + 1)``
 
-— a single numpy slice operation touching every cell at once.  Rounds
-repeat until a fixpoint.  Because ``OPT`` values are machine counts, at
-most ``OPT(N) + 1`` rounds are needed (each round finalises all cells
-one more edge away from the origin — in practice far fewer because
-in-place updates propagate within a round); each round costs
-``O(|C| * sigma)`` flat numpy work with no Python-level per-cell loop,
-following the vectorization idiom of the HPC guides.
+— a single numpy slice operation touching every cell at once, followed
+by one downward-closure sweep per axis that hands each value on to the
+cells it dominates.  Rounds repeat until a fixpoint.  Because ``OPT``
+values are machine counts, at most ``OPT(N) + 1`` rounds are needed
+(each round finalises all cells one more edge away from the origin —
+in practice far fewer because in-place updates propagate within a
+round); each round costs ``O(|C_max| * sigma)`` flat numpy work with
+no Python-level per-cell loop, following the vectorization idiom of
+the HPC guides.
 
 The result is bit-identical to :func:`repro.core.dp_reference.dp_reference`
 (tested), at orders of magnitude higher throughput.  With a machine
@@ -40,6 +43,7 @@ from repro.core.dp_common import (
     widen_table,
 )
 from repro.core.rounding import RoundedInstance
+from repro.core.sparsify import sparsify_configurations
 from repro.errors import DPError
 from repro.observability import context as obs
 
@@ -53,10 +57,11 @@ def shift_selectors(
     destination view ``dst[u] = table[u]`` for cells ``u >= c`` and the
     source view ``src[u] = table[u - c]``.  Selectors depend only on
     ``(shape, configs, order)`` — i.e. on the probe *plan*, not on any
-    concrete table — so :attr:`repro.dptable.plan.ProbePlan.shift_slices`
-    caches them across probes, and a single fill builds them once
-    instead of once per relaxation round (the tuple-of-slices
-    construction used to dominate small-table fills).
+    concrete table — so
+    :attr:`repro.dptable.plan.ProbePlan.sparse_shift_slices` caches
+    them across probes, and a single fill builds them once instead of
+    once per relaxation round (the tuple-of-slices construction used
+    to dominate small-table fills).
     """
     return tuple(
         (
@@ -161,10 +166,7 @@ def dp_vectorized(
     target: int,
     configs: np.ndarray | None = None,
     max_rounds: int | None = None,
-    order: np.ndarray | None = None,
-    shifts: tuple[tuple[tuple, tuple], ...] | None = None,
     model_token: tuple | None = None,
-    sparsify: bool = False,
     sparse_configs: np.ndarray | None = None,
     sparse_shifts: tuple | None = None,
     warm_table: np.ndarray | None = None,
@@ -179,28 +181,21 @@ def dp_vectorized(
     two when ``machines`` is set); reaching the cap without convergence
     indicates a bug and raises :class:`DPError`.
 
-    ``order`` is an optional precomputed config processing order (the
-    :attr:`~repro.dptable.plan.ProbePlan.relaxation_order` of a cached
-    plan); when omitted the largest-first order is derived locally.
-    ``shifts`` are the matching precomputed slice selectors (a plan's
-    :attr:`~repro.dptable.plan.ProbePlan.shift_slices`); they must be
-    aligned with ``order`` and are rebuilt locally when omitted.
-
-    ``sparsify=True`` relaxes with the dominance-pruned maximal subset
-    only (:mod:`repro.core.sparsify`).  The cover recurrence
-    ``OPT[u] = min_c OPT[clip(u - c)] + 1`` is realised as plain *box*
-    passes over the maximal subset plus one downward-closure sweep per
-    axis per round: for any maximal ``c``, ``clip(u - c) = v - c``
-    where ``v = max(u, c)`` elementwise, so the clipped candidate at
-    ``u`` is the exact box candidate at ``v`` propagated down by
-    monotonicity (:func:`closure_views`).  Same unique fixpoint, so
-    the returned table is bit-identical to the dense fill's and
-    ``configs`` (the full set, which the backtrack walks) is returned
-    unchanged.  ``sparse_configs`` / ``sparse_shifts`` are the
-    plan-cached layers
+    The relaxation runs over the dominance-pruned maximal subset of
+    ``configs`` only (:mod:`repro.core.sparsify`).  The cover
+    recurrence ``OPT[u] = min_c OPT[clip(u - c)] + 1`` is realised as
+    plain *box* passes over the maximal subset plus one
+    downward-closure sweep per axis per round: for any maximal ``c``,
+    ``clip(u - c) = v - c`` where ``v = max(u, c)`` elementwise, so the
+    clipped candidate at ``u`` is the exact box candidate at ``v``
+    propagated down by monotonicity (:func:`closure_views`).  On a
+    downward-closed set that is the fixpoint of Equation 1, so the
+    table is bit-identical to the reference fill's, and ``configs``
+    (the full set, which the backtrack walks) is returned unchanged.
+    ``sparse_configs`` / ``sparse_shifts`` are the plan-cached layers
     (:attr:`~repro.dptable.plan.ProbePlan.sparse_configs` /
-    :attr:`~repro.dptable.plan.ProbePlan.sparse_shift_slices`);
-    either being supplied implies ``sparsify``.
+    :attr:`~repro.dptable.plan.ProbePlan.sparse_shift_slices`); a call
+    without them prunes ``configs`` itself.
 
     ``warm_table`` seeds the fill from a cached table of the same
     family at a smaller scaled budget (see :func:`seed_warm_table`);
@@ -248,8 +243,6 @@ def dp_vectorized(
         )
     if configs is None:
         configs = enumerate_configurations(class_sizes, counts, target)
-    if sparse_configs is not None or sparse_shifts is not None:
-        sparsify = True
 
     kind = "vectorized" if clamp is None else "decision"
     dtype = pick_table_dtype(sum(counts) if clamp is None else clamp)
@@ -283,34 +276,17 @@ def dp_vectorized(
             sum(counts) + 1 if clamp is None else min(sum(counts), clamp) + 2
         )
 
-    views = None
-    if sparsify:
-        if sparse_shifts is None:
-            if sparse_configs is None:
-                from repro.core.sparsify import sparsify_configurations
-
-                sparse_configs, _ = sparsify_configurations(
-                    configs, counts, class_sizes, target
-                )
-            sparse_order = np.argsort(
-                -sparse_configs.sum(axis=1), kind="stable"
-            )
-            sparse_shifts = shift_selectors(
-                shape, sparse_configs, sparse_order
-            )
-        shifts = sparse_shifts
-        views = closure_views(table)
-        if warm_init is not None:
-            # Close the seed: the round loop below stops on the first
-            # round whose box passes change nothing, which is a fixpoint
-            # only if each round starts from a downward-closed table.
-            run_closure_sweeps(views)
-    elif shifts is None:
-        if order is None:
-            # Larger configurations first: they reach far cells in fewer
-            # rounds, accelerating convergence of in-place propagation.
-            order = np.argsort(-configs.sum(axis=1), kind="stable")
-        shifts = shift_selectors(shape, configs, order)
+    if sparse_shifts is None:
+        if sparse_configs is None:
+            sparse_configs, _ = sparsify_configurations(configs)
+        sparse_order = np.argsort(-sparse_configs.sum(axis=1), kind="stable")
+        sparse_shifts = shift_selectors(shape, sparse_configs, sparse_order)
+    views = closure_views(table)
+    if warm_init is not None:
+        # Close the seed: the round loop below stops on the first round
+        # whose box passes change nothing, which is a fixpoint only if
+        # each round starts from a downward-closed table.
+        run_closure_sweeps(views)
 
     # One scratch buffer (plus one bool mask) reused by every config
     # pass: each pass needs a copy of the shifted source — src may
@@ -322,7 +298,7 @@ def dp_vectorized(
     # the scratch window first because src may alias dst).
     scratch = np.empty(table.size, dtype=dtype)
     mask = np.empty(table.size, dtype=bool)
-    bound = bind_passes(table, shifts, scratch, mask)
+    bound = bind_passes(table, sparse_shifts, scratch, mask)
     corner = tuple(s - 1 for s in shape)
     early_accept = clamp is not None and warm_init is None
 
@@ -334,8 +310,7 @@ def dp_vectorized(
             if improved.any():
                 np.copyto(dst, cand, where=improved)
                 changed = True
-        if views is not None:
-            run_closure_sweeps(views)
+        run_closure_sweeps(views)
         if early_accept and table[corner] <= min(machines, rounds):
             # Every stored value <= rounds is final: so are the corner
             # and the backtrack chain below it.

@@ -195,7 +195,7 @@ class AutoKernel:
     plan_cache:
         Shared :class:`~repro.core.probe_cache.PlanCache`; supplies
         the sweep's level schedule and the relaxation kernels' cached
-        config order.  ``None`` uses the process-wide default cache.
+        maximal configurations and slice selectors.  ``None`` uses the process-wide default cache.
     memory_budget_bytes:
         Optional cap on the transient fill footprint (see
         :func:`choose_kernel`).
@@ -206,8 +206,8 @@ class AutoKernel:
     The decision/vectorized and hostpar routes always fill over the
     dominance-pruned configuration set (:mod:`repro.core.sparsify`):
     sparse box passes with closure sweeps, or clipped gathers on the
-    fabric.  The over-budget sweep fills dense.  Tables are
-    bit-identical to the dense fill either way.
+    fabric.  The over-budget sweep fills over the full set.  Tables
+    are bit-identical to the reference fill either way.
     """
 
     #: the probe cache may seed this kernel's fills from nearby-budget

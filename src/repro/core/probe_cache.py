@@ -607,7 +607,8 @@ class PlanCache:
         the normalized signature and enumerates configurations only on
         a miss.  ``eager=False`` skips the up-front build of the
         expensive layers on a miss — the relaxation kernels only need
-        :attr:`~repro.dptable.plan.ProbePlan.relaxation_order`, and an
+        :attr:`~repro.dptable.plan.ProbePlan.sparse_configs` and
+        :attr:`~repro.dptable.plan.ProbePlan.sparse_shift_slices`, and an
         engine that later hits the same plan builds (and then shares)
         the heavy layers on first touch.
 

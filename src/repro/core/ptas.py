@@ -299,6 +299,23 @@ class PtasResult:
         return (1.0 + self.eps) * self.final_target
 
 
+#: Interval segments one search round probes, by ``search`` name.  Plain
+#: bisection (Algorithm 1) is the one-segment quarter split (Algorithm 3).
+SEARCH_SEGMENTS = {"bisection": 1, "quarter": 4}
+
+
+def search_segments(search: str) -> int:
+    """The segment count of a search name (:data:`SEARCH_SEGMENTS`).
+
+    Raises :class:`~repro.errors.InvalidInstanceError` for any other
+    name.
+    """
+    try:
+        return SEARCH_SEGMENTS[search]
+    except (KeyError, TypeError):
+        raise InvalidInstanceError(f"unknown search strategy {search!r}") from None
+
+
 def ptas_schedule(
     instance: Instance,
     eps: float = 0.3,
@@ -335,17 +352,16 @@ def ptas_schedule(
     :class:`~repro.core.executor.SequentialExecutor`.  Executors never
     change the result, only the time accounting.
     """
-    # Imported here to avoid a circular import (the search modules call
+    # Imported here to avoid a circular import (the search module calls
     # probe_target from this module).
-    from repro.core.bisection import bisection_search
     from repro.core.quarter_split import quarter_split_search
 
-    if search == "bisection":
-        return bisection_search(
-            instance, eps, dp_solver, cache=cache, trace=trace, executor=executor
-        )
-    if search == "quarter":
-        return quarter_split_search(
-            instance, eps, dp_solver, cache=cache, trace=trace, executor=executor
-        )
-    raise InvalidInstanceError(f"unknown search strategy {search!r}")
+    return quarter_split_search(
+        instance,
+        eps,
+        dp_solver,
+        segments=search_segments(search),
+        cache=cache,
+        trace=trace,
+        executor=executor,
+    )

@@ -31,8 +31,12 @@ Each iteration's segment targets are submitted as **one round** to the
 :class:`~repro.core.executor.ProbeExecutor`, so a device executor
 charges the round as concurrent work while a sequential executor sums
 it — the same search loop serves Table VII's GPU timing and the plain
-host run (the GPU runner used to keep a private copy of this loop just
-for that; it no longer exists).
+host run.
+
+With ``segments=1`` the round is the single midpoint ``(LB + UB) // 2``
+and the update rule is bisection's, so this loop is also plain
+bisection (Algorithm 1, :func:`repro.core.bisection.bisection_search`):
+there is one search loop in the library, with one epilogue.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro.core.bounds import MakespanBounds, makespan_bounds
 from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import Instance
-from repro.core.ptas import DPSolver, ProbeResult, PtasResult
-from repro.core.search_common import finalize_search
+from repro.core.ptas import SEARCH_SEGMENTS, DPSolver, ProbeResult, PtasResult
 from repro.errors import ReproError
 from repro.observability import Tracer, TraceSink, as_tracer
 from repro.observability import context as obs
@@ -55,7 +58,7 @@ if TYPE_CHECKING:
 
 #: Number of concurrent interval segments.  The paper fixes this at 4
 #: ("quarter split") to match the 4 Hyper-Q process queues it uses.
-DEFAULT_SEGMENTS = 4
+DEFAULT_SEGMENTS = SEARCH_SEGMENTS["quarter"]
 
 
 def segment_targets(lb: int, ub: int, segments: int = DEFAULT_SEGMENTS) -> list[int]:
@@ -152,15 +155,31 @@ def _quarter_split_search(
         if not accepted and not rejected:
             raise ReproError("quarter split produced no probes")  # unreachable
 
-    return finalize_search(
-        "quarter split",
-        instance,
-        eps,
-        dp_solver,
-        executor,
-        cache,
-        probes,
-        best_accept,
-        ub,
-        iterations,
+    if best_accept is None or best_accept.target != ub:
+        # Either the interval started degenerate, or the last accepted
+        # probe was at a larger T than the final UB (possible when LB
+        # catches up from below).  One final probe at UB settles it; the
+        # initial UB (Graham bound) is always feasible, so this accepts.
+        # With a cache this re-probe is (almost) free: its target was
+        # usually probed inside the loop already.
+        probe = executor.run_round(instance, [ub], eps, dp_solver, cache=cache)[0]
+        probes.append(probe)
+        if not probe.accepted:
+            raise ReproError(f"search invariant violated: final target {ub} rejected")
+        best_accept = probe
+
+    # The (1+eps) guarantee flows from the lowest accepted target, but
+    # an accepted probe at a higher T can happen to build a *better*
+    # schedule (its greedy short-job packing had more slack).  Return
+    # the best schedule seen; it is at most the guaranteed bound.
+    best_schedule = min(
+        (p.schedule for p in probes if p.schedule is not None),
+        key=lambda s: s.makespan,
+    )
+    return PtasResult(
+        schedule=best_schedule,
+        eps=eps,
+        iterations=iterations,
+        probes=probes,
+        final_target=best_accept.target,
     )

@@ -222,55 +222,14 @@ class ProbePlan:
         """Per-level cell groups — the serial/OpenMP/naive-GPU order."""
         return self.level_schedule.groups()
 
-    @cached_property
-    def relaxation_order(self) -> np.ndarray:
-        """Config processing order for the relaxation kernels.
-
-        Largest configurations first (stable on ties): they reach far
-        cells in fewer rounds, accelerating convergence of the in-place
-        propagation in :func:`repro.core.dp_vectorized.dp_vectorized`,
-        exact or clamped.  Historically re-derived by an argsort
-        on *every* probe; as a plan layer it is computed once per
-        ``(shape, configs)`` and shared across all probes that hit the
-        same plan.
-        """
-        with _build_timer():
-            if self.configs.shape[0] == 0:
-                return _frozen(np.zeros(0, dtype=np.int64))
-            return _frozen(
-                np.argsort(-self.configs.sum(axis=1), kind="stable").astype(
-                    np.int64
-                )
-            )
-
-    @cached_property
-    def shift_slices(self) -> tuple:
-        """Relaxation slice selectors, aligned with :attr:`relaxation_order`.
-
-        The ``(dst, src)`` slice-tuple pairs every relaxation pass
-        applies (see
-        :func:`repro.core.dp_vectorized.shift_selectors`).  Building a
-        tuple of slices per configuration is pure-Python work that used
-        to run once per *round* per config; as a plan layer it runs
-        once per ``(shape, configs)`` and is shared by every probe —
-        and every relaxation round — that hits this plan.
-        """
-        with _build_timer():
-            from repro.core.dp_vectorized import shift_selectors
-
-            return shift_selectors(
-                self.geometry.shape, self.configs, self.relaxation_order
-            )
-
     # -- sparse (dominance-pruned) layers ------------------------------------
 
     @cached_property
     def sparse_configs(self) -> np.ndarray:
         """The dominance-pruned maximal subset of :attr:`configs`.
 
-        Derived with the membership-based maximality test of
-        :func:`repro.core.sparsify.maximal_mask` — a pure function of
-        the configuration set alone, which keeps the layer valid under
+        Derived with :func:`repro.core.sparsify.maximal_mask` — a pure
+        function of the configuration set alone, which keeps the layer valid under
         the plan's ``(geometry, configs)`` identity (the budget that
         generated the set never enters).  Sound because every
         enumerated set is downward closed; consumed by the clipped
@@ -284,7 +243,13 @@ class ProbePlan:
 
     @cached_property
     def sparse_relaxation_order(self) -> np.ndarray:
-        """Largest-first processing order over :attr:`sparse_configs`."""
+        """Largest-first processing order over :attr:`sparse_configs`.
+
+        Larger configurations reach far cells in fewer rounds, which
+        speeds up the in-place propagation of
+        :func:`repro.core.dp_vectorized.dp_vectorized`, exact or
+        clamped.
+        """
         with _build_timer():
             if self.sparse_configs.shape[0] == 0:
                 return _frozen(np.zeros(0, dtype=np.int64))
@@ -526,8 +491,9 @@ def build_probe_plan(
     work profile are built immediately — every engine touches them, so
     the cost is paid (and measured) here, on the cache's miss path,
     not on first use.  The relaxation kernels only need the cheap
-    :attr:`~ProbePlan.relaxation_order` layer and pass ``eager=False``
-    to keep the expensive layers lazy.  The blocked structure stays
+    :attr:`~ProbePlan.sparse_configs` /
+    :attr:`~ProbePlan.sparse_shift_slices` layers and pass
+    ``eager=False`` to keep the expensive layers lazy.  The blocked structure stays
     lazy per ``dim`` either way.  Prefer
     :class:`repro.core.probe_cache.PlanCache` — this builder is the
     miss path.

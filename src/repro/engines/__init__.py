@@ -19,7 +19,7 @@ charging simulated time to its hardware model:
 """
 
 from repro.engines.base import EngineRun, fill_by_groups
-from repro.engines.costmodel import CostConstants, WorkProfile, DEFAULT_COSTS
+from repro.engines.costmodel import CostConstants, DEFAULT_COSTS
 from repro.engines.sequential import SequentialEngine
 from repro.engines.openmp_engine import OpenMPEngine
 from repro.engines.gpu_naive import GpuNaiveEngine
@@ -30,7 +30,6 @@ __all__ = [
     "EngineRun",
     "fill_by_groups",
     "CostConstants",
-    "WorkProfile",
     "DEFAULT_COSTS",
     "SequentialEngine",
     "OpenMPEngine",

@@ -14,23 +14,18 @@ Algorithm 5 fixes what one DP cell ("configuration") costs:
   the naive port (Alg. 2 lines 18–19), one *block* after
   data-partitioning (§III-E).
 
-:class:`WorkProfile` computes ``candidates`` and ``valid`` for every
-cell in vectorized passes.  :class:`CostConstants` holds every per-op
-constant in one frozen, documented place; they were calibrated once so
-the reproduced Table VII lands in the paper's bands (see EXPERIMENTS.md)
-and are frozen for all experiments.
+:class:`~repro.dptable.plan.ProbePlan` computes ``candidates`` and
+``valid`` for every cell in vectorized passes.  :class:`CostConstants`
+holds every per-op constant in one frozen, documented place; they were
+calibrated once so the reproduced Table VII lands in the paper's bands
+(see EXPERIMENTS.md) and are frozen for all experiments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
-import numpy as np
-
-from repro.dptable.partition import BlockPartition
-from repro.dptable.plan import ProbePlan, build_probe_plan
-from repro.errors import CalibrationError, DPError
+from repro.errors import CalibrationError
 
 
 @dataclass(frozen=True)
@@ -88,88 +83,3 @@ class CostConstants:
 
 #: The frozen constants used by every experiment.
 DEFAULT_COSTS = CostConstants()
-
-
-class WorkProfile:
-    """Vectorized per-cell work quantities for one DP probe.
-
-    All arrays are indexed by the cell's flat row-major table index.
-
-    Since the probe-plan refactor this is a thin *view* over a
-    :class:`~repro.dptable.plan.ProbePlan` — the plan owns the shared
-    per-cell arrays (and may come from a
-    :class:`~repro.core.probe_cache.PlanCache`); the profile keeps the
-    probe's absolute quantities (``class_sizes``, ``target``) and the
-    caller's configuration array identity.  Pass ``plan=`` to wrap an
-    existing plan instead of building one.
-    """
-
-    def __init__(
-        self,
-        counts: Sequence[int],
-        class_sizes: Sequence[int],
-        target: int,
-        configs: np.ndarray | None = None,
-        plan: ProbePlan | None = None,
-    ) -> None:
-        self.counts = tuple(int(c) for c in counts)
-        self.class_sizes = tuple(int(s) for s in class_sizes)
-        if len(self.counts) != len(self.class_sizes):
-            raise DPError("counts and class_sizes must have equal length")
-        self.target = int(target)
-        if plan is None:
-            plan = build_probe_plan(self.counts, self.class_sizes, self.target, configs)
-        self.plan = plan
-        self.geometry = plan.geometry
-        self.configs = configs if configs is not None else plan.configs
-
-    # -- per-cell arrays (views into the plan) --------------------------------
-
-    @property
-    def levels(self) -> np.ndarray:
-        """Anti-diagonal level of every cell."""
-        return self.plan.level_schedule.levels
-
-    @property
-    def candidates(self) -> np.ndarray:
-        """FindValidSub enumeration size per cell: ``prod(v_i + 1)``."""
-        return self.plan.candidates
-
-    @property
-    def valid(self) -> np.ndarray:
-        """Applicable configurations per cell: ``#{c in C : c <= v}``."""
-        return self.plan.valid
-
-    # -- aggregates ------------------------------------------------------------
-
-    @property
-    def total_candidates(self) -> int:
-        """Sum of FindValidSub work over the whole table."""
-        return self.plan.total_candidates
-
-    @property
-    def total_valid(self) -> int:
-        """Sum of SetOPT work items over the whole table."""
-        return self.plan.total_valid
-
-    def partition(self, dim: int) -> BlockPartition:
-        """The plan's memoized Algorithm 4 partition for ``dim``."""
-        return self.plan.partition(dim)
-
-    def thread_ops(self, costs: CostConstants) -> np.ndarray:
-        """Per-cell compute ops *excluding* the locate scan.
-
-        The scan is charged separately because its cost depends on the
-        engine's storage layout (whole table vs block) and medium
-        (cached CPU scan vs GPU global memory).
-        """
-        return self.plan.thread_ops(costs)
-
-    def scan_elements(self, scan_scope: np.ndarray | int) -> np.ndarray:
-        """Per-cell elements touched by locate scans.
-
-        ``scan_scope`` is the storage size each scan walks (scalar, or
-        per-cell array for block-local scans); the expected scan hits
-        the target halfway through.
-        """
-        return self.plan.scan_elements(scan_scope)

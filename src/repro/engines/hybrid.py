@@ -16,9 +16,7 @@ of probes, which is what matters; exact time prediction does not.
 The probe's :class:`~repro.dptable.plan.ProbePlan` is resolved once
 here and handed down to whichever engine wins the prediction, so a
 routed probe never rebuilds its schedule; the predictors read the
-plan's work arrays and its memoized ``partition(dim)`` directly
-(:class:`~repro.engines.costmodel.WorkProfile` exposes the same
-surface, so either satisfies them).
+plan's work arrays and its memoized ``partition(dim)`` directly.
 """
 
 from __future__ import annotations
@@ -79,31 +77,30 @@ class HybridEngine:
 
     # -- cost prediction ---------------------------------------------------------
 
-    def predict_cpu_s(self, profile) -> float:
+    def predict_cpu_s(self, plan) -> float:
         """Dominant CPU terms: compute over threads vs shared-bandwidth floor.
 
-        ``profile`` is a :class:`~repro.dptable.plan.ProbePlan` or a
-        :class:`~repro.engines.costmodel.WorkProfile` (same surface).
+        ``plan`` is the probe's :class:`~repro.dptable.plan.ProbePlan`.
         """
         spec = self.cpu_engine.spec
-        ops = float(profile.thread_ops(self.costs).sum())
-        scan = float(profile.scan_elements(profile.geometry.size).sum())
+        ops = float(plan.thread_ops(self.costs).sum())
+        scan = float(plan.scan_elements(plan.geometry.size).sum())
         compute = (
             (ops + scan * self.costs.scan_ops_per_element * self.costs.cpu_scan_elements_cached)
             * spec.op_time_s
             / self.cpu_engine.threads
         )
         memory = scan * 8.0 / spec.mem_bandwidth_bytes_per_s
-        barriers = (profile.geometry.max_level + 1) * spec.fork_join_overhead_s
+        barriers = (plan.geometry.max_level + 1) * spec.fork_join_overhead_s
         return max(compute, memory) + barriers
 
-    def predict_gpu_s(self, profile) -> float:
+    def predict_gpu_s(self, plan) -> float:
         """Dominant GPU terms: lane work at model utilisation + kernel chain."""
         spec = self.gpu_engine.spec
-        partition = profile.partition(self.dim)
-        ops = float(profile.thread_ops(self.costs).sum())
+        partition = plan.partition(self.dim)
+        ops = float(plan.thread_ops(self.costs).sum())
         scan = float(
-            profile.scan_elements(partition.cells_per_block).sum()
+            plan.scan_elements(partition.cells_per_block).sum()
         ) * self.costs.gpu_scan_ops_per_element
         # Lane-seconds spread over the device at a conservative
         # utilisation matching the simulator's mid-size behaviour.

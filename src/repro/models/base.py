@@ -69,8 +69,8 @@ class FillSpec:
 
     Every fill's configuration set is downward closed (componentwise
     caps, a load budget, and optionally a job-count cap all survive
-    decreasing a component), which is the property the ``auto``
-    kernel's dominance pruning needs (:mod:`repro.core.sparsify`).
+    decreasing a component), which is the property the relaxation
+    fills' dominance pruning needs (:mod:`repro.core.sparsify`).
     """
 
     counts: Tuple[int, ...]

@@ -14,7 +14,7 @@ so a failed placement falls back to capped LPT: if that schedule's
 makespan meets the target outright the probe still accepts — in
 particular the probe at the search's initial upper bound (at least the
 capped-LPT makespan) always accepts, which is the invariant
-:func:`repro.core.search_common.finalize_search` relies on.  The
+the search epilogue of :mod:`repro.core.quarter_split` relies on.  The
 fallback takes no ``(1 + 1/k)`` slack on purpose: LPT's makespan is
 never below the optimum, so with a non-binding cap it cannot accept a
 target the identical model's probe rejects, and the ``B >= n`` lift

@@ -56,7 +56,11 @@ from repro.core.schedule import Schedule
 from repro.errors import InvalidInstanceError, WorkerCrashError
 from repro.observability import Tracer
 from repro.resilience import FaultInjector, RetryPolicy
-from repro.service.pipeline import ProbePipeline, build_resilience
+from repro.service.pipeline import (
+    ProbePipeline,
+    build_resilience,
+    check_request_options,
+)
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,9 @@ class BatchRequest:
     search: str = "quarter"
     name: str = ""
     backend: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_request_options(self.eps, self.search)
 
 
 @dataclass(frozen=True)
@@ -291,6 +298,7 @@ class BatchScheduler:
     ) -> None:
         if workers < 1:
             raise InvalidInstanceError(f"workers must be >= 1, got {workers}")
+        check_request_options(eps, search)
         self.backend = backend
         self.workers = int(workers)
         # The request-execution machinery is shared with the always-on

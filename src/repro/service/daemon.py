@@ -86,7 +86,11 @@ from repro.errors import (
 from repro.observability import ServiceMetrics, Tracer
 from repro.resilience import FaultInjector, RetryPolicy, TenantQuota
 from repro.service.batch import BatchRequest, BatchRequestResult
-from repro.service.pipeline import ProbePipeline, build_resilience
+from repro.service.pipeline import (
+    ProbePipeline,
+    build_resilience,
+    check_request_options,
+)
 
 
 class Priority(enum.IntEnum):
@@ -233,6 +237,7 @@ class SchedulingService:
     ) -> None:
         if workers < 1:
             raise InvalidInstanceError(f"workers must be >= 1, got {workers}")
+        check_request_options(eps, search)
         resilience, faults = build_resilience(
             faults=faults,
             retry=retry,
@@ -368,7 +373,9 @@ class SchedulingService:
         tenant must be under quota
         (:class:`~repro.errors.QuotaExceededError`), then the bound
         stage is computed and delivered, and the request either
-        coalesces onto an in-flight twin or queues for dispatch.
+        coalesces onto an in-flight twin or queues for dispatch.  An
+        ``eps`` or ``search`` no request can run raises
+        :class:`~repro.errors.InvalidInstanceError` before any of that.
         """
         if self._closing or not self._started:
             raise ServiceClosedError(

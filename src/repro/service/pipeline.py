@@ -34,8 +34,9 @@ from repro.core.executor import ProbeExecutor, SequentialExecutor, default_execu
 from repro.core.improve import improve_schedule
 from repro.core.instance import Instance
 from repro.core.probe_cache import PlanCache, ProbeCache
-from repro.core.ptas import DPSolver, PtasResult, ptas_schedule
-from repro.errors import InvalidInstanceError, ReproError
+from repro.core.ptas import DPSolver, PtasResult, ptas_schedule, search_segments
+from repro.core.rounding import accuracy_k
+from repro.errors import ReproError
 from repro.observability import Tracer, TraceSink, as_tracer
 from repro.observability import context as obs
 from repro.resilience import (
@@ -78,8 +79,7 @@ def schedule_request(
     It is never worse than the PTAS schedule, so it stays within
     ``guarantee_bound()``.
     """
-    if search not in ("bisection", "quarter"):
-        raise InvalidInstanceError(f"unknown search strategy {search!r}")
+    search_segments(search)  # fail fast on unknown names, before any probe
     tracer = as_tracer(trace)
     executor = executor if executor is not None else SequentialExecutor()
     lower = makespan_bounds(instance).lower
@@ -114,6 +114,18 @@ def schedule_request(
     if instance.model == "identical":
         result.schedule = improve_schedule(result.schedule).schedule
     return result
+
+
+def check_request_options(eps: float, search: str) -> None:
+    """Reject an ``eps`` or ``search`` name no request can run.
+
+    Raises :class:`~repro.errors.InvalidInstanceError`, so the front
+    ends refuse such a request (or a front end built with it) up front
+    instead of serving a degraded answer for a failure no backend can
+    avoid.
+    """
+    accuracy_k(eps)
+    search_segments(search)
 
 
 def build_resilience(

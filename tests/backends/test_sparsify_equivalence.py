@@ -1,12 +1,13 @@
-"""The one sparse fill agrees with the dense fills.
+"""The pruned relaxation fill agrees with the full-set fills.
 
-Only ``auto`` dominance-prunes its configuration set
-(:mod:`repro.core.sparsify`); ``vectorized`` and ``reference`` fill
-over the full set.  Because the clipped cover fixpoint is
-bit-identical to the dense one, ``auto`` must run the same search as
-the dense backends under all three machine models — exact, and clamped
-at the machine budget — down to the final target, the makespan and the
-assignment.
+``auto`` and ``vectorized`` relax over the dominance-pruned maximal
+configurations (:mod:`repro.core.sparsify`); ``reference`` and
+``sweep`` fill over the full set.  Because the clipped cover fixpoint
+is bit-identical to the full-set one, the pruned fills must run the
+same search as the full-set backends under all three machine models —
+exact, and clamped at the machine budget — down to the final target,
+the makespan and the assignment, and a bare ``dp_vectorized`` must
+return ``dp_reference``'s tables exactly, cold and warm-seeded.
 """
 
 from contextlib import nullcontext
@@ -16,8 +17,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataclasses
+
 import repro.core.kernels.auto as auto_mod
 from repro.backends import resolve
+from repro.core.dp_reference import dp_reference
 from repro.core.dp_vectorized import dp_vectorized
 from repro.core.instance import Instance
 from repro.core.ptas import probe_target, ptas_schedule
@@ -40,7 +44,7 @@ def instances():
 
 
 EPS = st.sampled_from([0.2, 0.3, 0.5])
-DENSE = ("vectorized", "reference")
+DENSE = ("reference", "sweep")
 
 
 def _clamped(clamp):
@@ -90,7 +94,7 @@ def test_probe_level_feasibility_iff_across_models(inst, eps, offset):
     for modelled in _models(inst):
         bounds = makespan_bounds(modelled)
         target = min(bounds.upper, bounds.lower + offset)
-        dense = probe_target(modelled, target, eps, dp_solver=resolve("vectorized"))
+        dense = probe_target(modelled, target, eps, dp_solver=resolve("reference"))
         for clamp in (False, True):
             with _clamped(clamp):
                 sparse = probe_target(modelled, target, eps, dp_solver=resolve("auto"))
@@ -101,8 +105,8 @@ def test_probe_level_feasibility_iff_across_models(inst, eps, offset):
 
 def test_hostpar_sparsified_probes_match_once(monkeypatch):
     # AutoKernel's library-only fabric route, exercised once outside
-    # hypothesis (it owns a process pool), against the dense
-    # vectorized fill under all three models.  The routing floors are
+    # hypothesis (it owns a process pool), against the full-set
+    # reference fill under all three models.  The routing floors are
     # lowered and the machine budget is never bound, so every fill
     # takes the hostpar route.
     from repro.core.kernels import AutoKernel
@@ -126,7 +130,7 @@ def test_hostpar_sparsified_probes_match_once(monkeypatch):
                 trace=tracer,
             )
             dense = ptas_schedule(
-                modelled, eps=0.3, dp_solver=resolve("vectorized")
+                modelled, eps=0.3, dp_solver=resolve("reference")
             )
             _assert_same_answer(sparse, dense, modelled.model)
             assert tracer.counters.get("kernel.auto.hostpar", 0) > 0, modelled.model
@@ -138,7 +142,7 @@ def test_hostpar_sparsified_probes_match_once(monkeypatch):
 def test_sparse_tables_bit_identical_under_model_tokens():
     # The few-types/time-restricted fills thread model tokens through
     # the plan cache; auto's pruned fill must stay bit-identical to the
-    # dense dp_vectorized fill on those filtered sets too.
+    # full-set dp_reference fill on those filtered sets too.
     from repro.core.kernels import AutoKernel
     from repro.core.probe_cache import PlanCache
 
@@ -163,7 +167,51 @@ def test_sparse_tables_bit_identical_under_model_tokens():
                     sparse = AutoKernel(plan_cache=PlanCache())(
                         *args, configs=configs, model_token=token
                     )
-                    dense = dp_vectorized(*args, configs=configs, model_token=token)
+                    dense = dp_reference(*args, configs=configs, model_token=token)
                     assert sparse.table.dtype == dense.table.dtype
                     assert np.array_equal(sparse.table, dense.table)
     assert tokens > 0
+
+
+@given(inst=instances(), eps=EPS, delta=st.integers(min_value=1, max_value=4))
+@settings(max_examples=20, deadline=None)
+def test_bare_dp_vectorized_matches_reference_across_models(inst, eps, delta):
+    # Every fill a search makes, under every model: the bare pruned
+    # fill is bit-identical to the full-set reference exact, agrees
+    # with it wherever a clamped table is readable, and a warm seed
+    # from a smaller budget of the same fill changes nothing.
+    for modelled in _models(inst):
+        machines = modelled.machines
+        model = model_for(modelled)
+        for probe in ptas_schedule(modelled, eps=eps).probes:
+            for fill in model.fills(probe.rounded):
+                if not fill.counts:
+                    continue
+                args = (fill.counts, fill.class_sizes, fill.budget)
+                configs = fill.enumerate()
+                token = fill.token
+                case = (modelled.model, args)
+                ref = dp_reference(*args, configs=configs, model_token=token)
+                exact = dp_vectorized(*args, configs=configs, model_token=token)
+                assert np.array_equal(exact.table, ref.table), case
+
+                clamped = dp_vectorized(
+                    *args, configs=configs, model_token=token, machines=machines
+                )
+                reject = ref.opt > machines
+                assert clamped.decided_infeasible == reject, case
+                if not reject:
+                    final = ref.table <= machines
+                    assert np.array_equal(clamped.table[final], ref.table[final]), case
+
+                if fill.budget - delta < 1:
+                    continue
+                smaller = dataclasses.replace(fill, budget=fill.budget - delta)
+                seed = dp_vectorized(
+                    fill.counts, fill.class_sizes, smaller.budget,
+                    configs=smaller.enumerate(), model_token=token,
+                ).table
+                warm = dp_vectorized(
+                    *args, configs=configs, model_token=token, warm_table=seed
+                )
+                assert np.array_equal(warm.table, ref.table), case

@@ -87,11 +87,11 @@ class TestDecisionFill:
     @settings(max_examples=25, deadline=None)
     def test_accept_reject_matches_reference_at_every_budget(self, probe, delta):
         # The clamp's whole contract, over machines in {None, 0..OPT+1}
-        # x sparsify on/off x cold/warm: the verdict agrees with the
-        # exact OPT(N) (including the threshold-straddling budgets
-        # OPT-1, OPT, OPT+1), every stored value is an upper bound on
-        # OPT capped at the clamp and exact wherever backtrack can read
-        # it, and accepted tables backtrack to the exact fill's
+        # x cold/warm: the verdict agrees with the exact OPT(N)
+        # (including the threshold-straddling budgets OPT-1, OPT,
+        # OPT+1), every stored value is an upper bound on OPT capped at
+        # the clamp and exact wherever backtrack can read it, and
+        # accepted tables backtrack to the reference fill's
         # configurations.
         counts, sizes, target = probe
         ref = dp_reference(counts, sizes, target)
@@ -99,39 +99,34 @@ class TestDecisionFill:
         top = opt + 1 if opt < UNREACHABLE else sum(counts) + 1
         warm_target = target - delta
         for m in [None, *range(top + 1)]:
-            for sparsify in (False, True):
-                seeds = [None]
-                if warm_target >= 1:
-                    seeds.append(
-                        dp_vectorized(
-                            counts, sizes, warm_target, machines=m,
-                            sparsify=sparsify,
-                        ).table
-                    )
-                for warm in seeds:
-                    case = (probe, m, sparsify, warm is not None)
-                    result = dp_vectorized(
-                        counts, sizes, target, machines=m,
-                        sparsify=sparsify, warm_table=warm,
-                    )
-                    if m is None:
-                        assert result.clamp is None, case
-                        assert np.array_equal(result.table, ref.table), case
-                        continue
-                    clamp = m + 1
-                    assert result.clamp == clamp, case
-                    expect_reject = opt > m  # also True when unreachable
-                    assert result.decided_infeasible == expect_reject, case
-                    table = result.table
-                    assert (table <= clamp).all(), case
-                    assert (table >= np.minimum(ref.table, clamp)).all(), case
-                    readable = table <= (m if expect_reject else opt)
-                    assert np.array_equal(table[readable], ref.table[readable]), case
-                    if not expect_reject:
-                        assert result.opt == opt and result.fits(m), case
-                        assert extract_machine_configurations(
-                            result
-                        ) == extract_machine_configurations(ref), case
+            seeds = [None]
+            if warm_target >= 1:
+                seeds.append(
+                    dp_vectorized(counts, sizes, warm_target, machines=m).table
+                )
+            for warm in seeds:
+                case = (probe, m, warm is not None)
+                result = dp_vectorized(
+                    counts, sizes, target, machines=m, warm_table=warm
+                )
+                if m is None:
+                    assert result.clamp is None, case
+                    assert np.array_equal(result.table, ref.table), case
+                    continue
+                clamp = m + 1
+                assert result.clamp == clamp, case
+                expect_reject = opt > m  # also True when unreachable
+                assert result.decided_infeasible == expect_reject, case
+                table = result.table
+                assert (table <= clamp).all(), case
+                assert (table >= np.minimum(ref.table, clamp)).all(), case
+                readable = table <= (m if expect_reject else opt)
+                assert np.array_equal(table[readable], ref.table[readable]), case
+                if not expect_reject:
+                    assert result.opt == opt and result.fits(m), case
+                    assert extract_machine_configurations(
+                        result
+                    ) == extract_machine_configurations(ref), case
 
     @given(probe=probes())
     @settings(max_examples=25, deadline=None)

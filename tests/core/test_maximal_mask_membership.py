@@ -1,11 +1,10 @@
-"""Edge cases of the membership route of ``maximal_mask``.
+"""Edge cases of ``maximal_mask``'s membership test.
 
-Without the defining constraints, ``maximal_mask`` decides "no
-``c + e_j`` is a row" from a boolean bitmap over the rows' bounding
-box.  These cases pin the places a bitmap can go wrong — row order,
-one row, one dimension, a box smaller than the table, an empty set —
-against the arithmetic route on real configuration sets, and against
-the definition itself (a brute-force unit-increment check) on
+``maximal_mask`` decides "no ``c + e_j`` is a row" from a boolean
+bitmap over the rows' bounding box.  These cases pin the places a
+bitmap can go wrong — row order, one row, one dimension, a box smaller
+than the table, an empty set — against the definition itself (a
+brute-force unit-increment check), on real configuration sets and on
 arbitrary integer row sets.
 """
 
@@ -33,10 +32,6 @@ def brute_force(configs):
     )
 
 
-def arithmetic(configs, counts, sizes, target):
-    return maximal_mask(configs, counts=counts, class_sizes=sizes, target=target)
-
-
 @st.composite
 def real_sets(draw):
     d = draw(st.integers(1, 4))
@@ -56,7 +51,7 @@ def test_shuffled_rows_keep_their_mask(case, rnd):
     order = list(range(configs.shape[0]))
     rnd.shuffle(order)
     shuffled = configs[order]
-    expected = arithmetic(configs, counts, sizes, target)[order]
+    expected = brute_force(configs)[order]
     assert np.array_equal(maximal_mask(shuffled), expected)
 
 
@@ -90,7 +85,7 @@ def test_one_dimension():
     assert configs[:, 0].tolist() == [1, 2, 3]  # 3 jobs of size 4 fit in 13
     mask = maximal_mask(configs)
     assert mask.tolist() == [False, False, True]
-    assert np.array_equal(mask, arithmetic(configs, counts, sizes, target))
+    assert np.array_equal(mask, brute_force(configs))
     assert np.array_equal(maximal_mask(configs[::-1]), mask[::-1])
 
 
@@ -102,9 +97,7 @@ def test_bounding_box_smaller_than_counts():
     configs = enumerate_configurations(sizes, counts, target)
     box = configs.max(axis=0) + 1
     assert (box < np.asarray(counts) + 1).all()
-    mask = maximal_mask(configs)
-    assert np.array_equal(mask, arithmetic(configs, counts, sizes, target))
-    assert np.array_equal(mask, brute_force(configs))
+    assert np.array_equal(maximal_mask(configs), brute_force(configs))
 
 
 def test_empty_set():

@@ -47,6 +47,22 @@ class TestBisection:
             below = probe_target(small_instance, result.final_target - 1, 0.3)
             assert not below.accepted
 
+    def test_probes_follow_the_midpoint_rule(self):
+        # Algorithm 1 replayed from the probe log: each iteration probes
+        # (LB + UB) // 2 and moves UB down on accept, LB up on reject.
+        for seed in range(8):
+            inst = uniform_instance(13, 4, low=2, high=50, seed=seed)
+            result = bisection_search(inst, 0.3)
+            bounds = makespan_bounds(inst)
+            lb, ub = bounds.lower, bounds.upper
+            for probe in result.probes[: result.iterations]:
+                assert probe.target == (lb + ub) // 2, seed
+                if probe.accepted:
+                    ub = probe.target
+                else:
+                    lb = probe.target + 1
+            assert lb == ub == result.final_target, seed
+
     def test_single_job_instance(self):
         # Bounds are [10, 20]; the search must still land exactly on 10.
         inst = Instance(times=(10,), machines=1)

@@ -1,17 +1,17 @@
-"""Configuration sparsification and warm starts (PR 9 tentpole).
+"""Configuration sparsification and warm starts.
 
 The soundness story these tests pin down:
 
 * **Clipped cover fixpoint = exact fixpoint.** Dominance pruning keeps
-  only the maximal configurations, and the sparse fill reads the
+  only the maximal configurations, and the pruned fill reads the
   recurrence as a cover (``clip(u - c)`` instead of ``u - c``).  On a
   downward-closed set min-cover equals min-partition at *every* cell,
-  so the sparse fill's table is bit-identical to the dense one — not
-  merely feasibility-equivalent.
+  so ``dp_vectorized``'s table is bit-identical to the full-set
+  ``dp_reference`` one — not merely feasibility-equivalent.
 * **The exact-subtraction counterexample.** With ``counts=(3,)``,
   ``sizes=(1,)``, ``T=2`` the maximal set is ``{(2,)}`` and exact
   subtraction would strand cell ``(3,)``; the clipped recurrence
-  reaches it (``OPT = 2``).  This instance runs through the sparse
+  reaches it (``OPT = 2``).  This instance runs through the pruned
   fill below, directly and as ``auto`` runs it.
 * **Warm starts seed from above.** A cached table at a strictly
   smaller budget is a pointwise upper bound on the new fixpoint
@@ -32,6 +32,7 @@ from repro.core.kernels import AutoKernel
 from repro.core.probe_cache import CacheStats, PlanCache, ProbeCache
 from repro.core.sparsify import maximal_mask, sparsify_configurations
 from repro.errors import DPError
+from repro.observability import Tracer
 
 
 def probes():
@@ -59,46 +60,13 @@ COUNTEREXAMPLE = ((3,), (1,), 2)
 
 
 @given(probe=probes())
-@settings(max_examples=40, deadline=None)
-def test_maximal_mask_routes_agree(probe):
-    # The arithmetic route (constraints in hand) and the membership
-    # route (set lookup only) must produce the same mask on any
-    # downward-closed set.
-    counts, sizes, target = probe
-    configs = enumerate_configurations(sizes, counts, target)
-    if configs.shape[0] == 0:
-        return
-    arithmetic = maximal_mask(
-        configs, counts=counts, class_sizes=sizes, target=target
-    )
-    membership = maximal_mask(configs)
-    assert np.array_equal(arithmetic, membership)
-
-
-@given(probe=probes(), max_jobs=st.integers(min_value=1, max_value=4))
-@settings(max_examples=25, deadline=None)
-def test_maximal_mask_routes_agree_with_cardinality_cap(probe, max_jobs):
-    counts, sizes, target = probe
-    configs = enumerate_configurations(sizes, counts, target, max_jobs=max_jobs)
-    if configs.shape[0] == 0:
-        return
-    arithmetic = maximal_mask(
-        configs, counts=counts, class_sizes=sizes, target=target,
-        max_jobs=max_jobs,
-    )
-    assert np.array_equal(arithmetic, maximal_mask(configs))
-
-
-@given(probe=probes())
 @settings(max_examples=30, deadline=None)
 def test_sparsify_keeps_a_dominating_cover(probe):
     # Every dropped configuration is componentwise <= some kept one,
     # kept rows preserve the original order, and the array is frozen.
     counts, sizes, target = probe
     configs = enumerate_configurations(sizes, counts, target)
-    sparse, stats = sparsify_configurations(
-        configs, counts=counts, class_sizes=sizes, target=target
-    )
+    sparse, stats = sparsify_configurations(configs)
     assert stats.kept == sparse.shape[0]
     assert stats.kept + stats.dropped == configs.shape[0]
     if configs.shape[0] == 0:
@@ -116,58 +84,45 @@ def test_sparsify_keeps_a_dominating_cover(probe):
 def test_sparsify_counterexample_instance():
     counts, sizes, target = COUNTEREXAMPLE
     configs = enumerate_configurations(sizes, counts, target)
-    sparse, stats = sparsify_configurations(
-        configs, counts=counts, class_sizes=sizes, target=target
-    )
+    sparse, stats = sparsify_configurations(configs)
     assert sparse.tolist() == [[2]]
     assert stats.dropped == 1  # (1,) dominated; (0,) is never enumerated
-
-
-def test_support_cap_is_opt_in_and_filters():
-    counts, sizes, target = (2, 2), (3, 5), 8
-    configs = enumerate_configurations(sizes, counts, target)
-    full, _ = sparsify_configurations(
-        configs, counts=counts, class_sizes=sizes, target=target
-    )
-    capped, _ = sparsify_configurations(
-        configs, counts=counts, class_sizes=sizes, target=target,
-        support_cap=1,
-    )
-    assert ((capped != 0).sum(axis=1) <= 1).all()
-    assert capped.shape[0] <= full.shape[0]
 
 
 def test_maximal_mask_rejects_bad_shapes():
     with pytest.raises(DPError):
         maximal_mask(np.zeros(3, dtype=np.int64))
-    with pytest.raises(DPError):
-        maximal_mask(
-            np.zeros((2, 3), dtype=np.int64),
-            counts=(1, 1), class_sizes=(1,), target=5,
-        )
 
 
-# -- bit-identity of the sparse fills ------------------------------------------
+# -- bit-identity of the pruned fills -----------------------------------------
 
 
 @given(probe=probes())
 @settings(max_examples=25, deadline=None)
 def test_dp_vectorized_sparse_is_bit_identical(probe):
     counts, sizes, target = probe
-    dense = dp_vectorized(counts, sizes, target)
-    sparse = dp_vectorized(counts, sizes, target, sparsify=True)
-    assert np.array_equal(dense.table, sparse.table)
+    reference = dp_reference(counts, sizes, target)
+    pruned = dp_vectorized(counts, sizes, target)
+    assert np.array_equal(reference.table, pruned.table)
     # DPResult.configs stays the FULL set: backtrack subtracts exactly.
-    assert np.array_equal(dense.configs, sparse.configs)
+    assert np.array_equal(reference.configs, pruned.configs)
+
+
+def test_bare_dp_vectorized_prunes_its_configurations():
+    counts, sizes, target = (3, 2), (1, 4), 6
+    tracer = Tracer()
+    with tracer.activate():
+        dp_vectorized(counts, sizes, target)
+    assert tracer.counters.get("sparsify.calls", 0) == 1
+    assert tracer.counters.get("sparsify.dropped", 0) > 0
 
 
 @pytest.mark.parametrize("probe", [COUNTEREXAMPLE, ((3, 2), (1, 4), 6)])
 def test_counterexample_runs_exact_through_every_sparse_path(probe):
     counts, sizes, target = probe
-    reference = dp_vectorized(counts, sizes, target)
+    reference = dp_reference(counts, sizes, target)
     assert np.array_equal(
-        dp_vectorized(counts, sizes, target, sparsify=True).table,
-        reference.table,
+        dp_vectorized(counts, sizes, target).table, reference.table
     )
     assert np.array_equal(
         AutoKernel(plan_cache=PlanCache())(counts, sizes, target).table,
@@ -177,7 +132,7 @@ def test_counterexample_runs_exact_through_every_sparse_path(probe):
 
 def test_counterexample_reaches_the_stranded_cell():
     counts, sizes, target = COUNTEREXAMPLE
-    result = dp_vectorized(counts, sizes, target, sparsify=True)
+    result = dp_vectorized(counts, sizes, target)
     assert int(result.table[3]) == 2  # exact subtraction would strand it
 
 
@@ -186,26 +141,23 @@ def test_counterexample_reaches_the_stranded_cell():
 def test_dp_decision_sparse_matches_dense_feasibility(probe, machines):
     # Decision fills may early-accept, so interior cells are not
     # bitwise-comparable — but the feasibility verdict and every cell
-    # at or below the clamp (the cells backtrack can visit) must agree.
+    # at or below the clamp (the cells backtrack can visit) must agree
+    # with the full-set reference.
     counts, sizes, target = probe
-    dense = dp_vectorized(counts, sizes, target, machines=machines)
-    sparse = dp_vectorized(
-        counts, sizes, target, machines=machines, sparsify=True
-    )
-    assert dense.opt == sparse.opt
-    assert dense.decided_infeasible == sparse.decided_infeasible
-    if dense.decided_infeasible:
+    exact = dp_reference(counts, sizes, target)
+    pruned = dp_vectorized(counts, sizes, target, machines=machines)
+    assert pruned.decided_infeasible == (exact.opt > machines)
+    if pruned.decided_infeasible:
         # Rejected probes are never backtracked; a load-reject returns
         # the clamp-initialised table whose interior is deliberately
         # inexact (see dp_vectorized's docstring), so only the
         # verdict is comparable.
         return
     # Accepted probes: every cell backtrack can visit (true OPT at or
-    # below the clamp) must be exact in both fills.
-    exact = dp_vectorized(counts, sizes, target).table
-    final = exact <= machines
-    for table in (dense.table, sparse.table):
-        assert np.array_equal(table[final], exact[final])
+    # below the clamp) must be exact.
+    assert pruned.opt == exact.opt
+    final = exact.table <= machines
+    assert np.array_equal(pruned.table[final], exact.table[final])
 
 
 # -- warm starts ---------------------------------------------------------------
@@ -215,15 +167,14 @@ def test_dp_decision_sparse_matches_dense_feasibility(probe, machines):
 @settings(max_examples=25, deadline=None)
 def test_warm_fill_equals_cold_fixpoint(probe, delta):
     # Seed the fill at target T+delta from the cached table at T: the
-    # warm fixpoint must be bit-identical to the exact cold table.
+    # warm fixpoint must be bit-identical to the exact table.
     counts, sizes, target = probe
     cold_small = dp_vectorized(counts, sizes, target)
     big = target + delta
-    cold_big = dp_vectorized(counts, sizes, big)
     warm = dp_vectorized(
         counts, sizes, big, warm_table=cold_small.table
     )
-    assert np.array_equal(warm.table, cold_big.table)
+    assert np.array_equal(warm.table, dp_reference(counts, sizes, big).table)
 
 
 @given(probe=probes(), delta=st.integers(min_value=1, max_value=5))
@@ -241,7 +192,7 @@ def test_warm_decision_fill_is_exact(probe, delta):
         counts, sizes, target + delta, machines=machines,
         warm_table=small.table,
     )
-    exact = dp_vectorized(counts, sizes, target + delta)
+    exact = dp_reference(counts, sizes, target + delta)
     assert np.array_equal(warm.table, exact.table)
 
 
@@ -257,8 +208,7 @@ def test_sparse_fill_closes_a_non_closed_warm_seed(machines):
     for cell in [(1, 0), (0, 1), (2, 0), (1, 2), (2, 2)]:
         seed[cell] = UNREACHABLE
     warm = dp_vectorized(
-        counts, sizes, target, machines=machines, sparsify=True,
-        warm_table=seed,
+        counts, sizes, target, machines=machines, warm_table=seed
     )
     assert np.array_equal(warm.table, exact)
 

@@ -1,10 +1,11 @@
-"""Unit tests for repro.engines.costmodel."""
+"""Unit tests for repro.engines.costmodel and the plan's work profile."""
 
 import numpy as np
 import pytest
 
 from repro.core.configs import enumerate_configurations
-from repro.engines.costmodel import CostConstants, DEFAULT_COSTS, WorkProfile
+from repro.dptable.plan import build_probe_plan
+from repro.engines.costmodel import CostConstants, DEFAULT_COSTS
 from repro.errors import CalibrationError, DPError
 
 
@@ -25,9 +26,11 @@ class TestCostConstants:
 
 
 class TestWorkProfile:
+    """The per-cell work quantities a probe plan carries (Algorithm 5)."""
+
     @pytest.fixture
     def profile(self):
-        return WorkProfile([3, 2], [3, 7], 12)
+        return build_probe_plan([3, 2], [3, 7], 12)
 
     def test_candidates_formula(self, profile):
         # candidates(v) = prod(v_i + 1) for every cell.
@@ -54,7 +57,8 @@ class TestWorkProfile:
         assert profile.valid[0] == 0  # configs are non-zero
 
     def test_levels(self, profile):
-        assert profile.levels.tolist() == profile.geometry.all_cells().sum(axis=1).tolist()
+        levels = profile.level_schedule.levels
+        assert levels.tolist() == profile.geometry.all_cells().sum(axis=1).tolist()
 
     def test_thread_ops_positive_off_origin(self, profile):
         ops = profile.thread_ops(DEFAULT_COSTS)
@@ -71,9 +75,10 @@ class TestWorkProfile:
 
     def test_shared_configs(self):
         configs = enumerate_configurations([3, 7], [3, 2], 12)
-        p = WorkProfile([3, 2], [3, 7], 12, configs)
+        configs.setflags(write=False)
+        p = build_probe_plan([3, 2], [3, 7], 12, configs)
         assert p.configs is configs
 
     def test_rejects_arity_mismatch(self):
         with pytest.raises(DPError):
-            WorkProfile([1, 2], [3], 10)
+            build_probe_plan([1, 2], [3], 10)

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.synthetic import synthetic_probe
 from repro.analysis.workloads import harvest_tables
 from repro.core.dp_vectorized import dp_vectorized
-from repro.engines.costmodel import WorkProfile
+from repro.dptable.plan import build_probe_plan
 from repro.engines.gpu_partitioned import GpuPartitionedEngine
 from repro.engines.hybrid import HybridEngine
 from repro.engines.openmp_engine import OpenMPEngine
@@ -63,10 +63,8 @@ class TestPredictorQuality:
                 t.counts, t.class_sizes, t.target
             ).simulated_s
             h = HybridEngine(dim=6)
-            profile = WorkProfile(t.counts, t.class_sizes, t.target)
-            choice = (
-                "cpu" if h.predict_cpu_s(profile) <= h.predict_gpu_s(profile) else "gpu"
-            )
+            plan = build_probe_plan(t.counts, t.class_sizes, t.target)
+            choice = "cpu" if h.predict_cpu_s(plan) <= h.predict_gpu_s(plan) else "gpu"
             actual = "cpu" if cpu <= gpu else "gpu"
             good += choice == actual
             regrets.append((cpu if choice == "cpu" else gpu) / min(cpu, gpu))

@@ -422,3 +422,14 @@ class TestValidation:
         with pytest.raises(BackendError):
             BatchScheduler(backend="tpu-v5")
 
+    @pytest.mark.parametrize(
+        "options", [{"search": "bisect"}, {"eps": 0}, {"eps": 1.5}]
+    )
+    def test_rejects_bad_eps_or_search_up_front(self, fleet, options):
+        # Neither the scheduler nor a request may exist with an eps or
+        # search name no backend can run: such a batch would otherwise
+        # be served as degraded answers blaming the backend.
+        with pytest.raises(InvalidInstanceError):
+            BatchScheduler(**options)
+        with pytest.raises(InvalidInstanceError):
+            BatchRequest(instance=fleet[0], **options)

@@ -298,6 +298,20 @@ class TestLifecycle:
         with pytest.raises(InvalidInstanceError):
             SchedulingService(workers=0)
 
+    def test_rejects_bad_eps_or_search(self, fleet):
+        for options in ({"search": "bisect"}, {"eps": 0}):
+            with pytest.raises(InvalidInstanceError):
+                SchedulingService(**options)
+
+        async def scenario():
+            async with SchedulingService(workers=1) as svc:
+                for options in ({"search": "bisect"}, {"eps": 0}):
+                    with pytest.raises(InvalidInstanceError):
+                        await svc.submit(fleet[0], **options)
+                return svc.metrics.get("submitted")
+
+        assert asyncio.run(scenario()) == 0
+
 
 class TestStats:
     def test_snapshot_shape_and_counters(self, fleet):

@@ -239,6 +239,19 @@ class TestExitCodes:
                 code = main([*command, "--backend", backend])
                 assert code == 2, (command[0], backend)
 
+    def test_bad_eps_is_usage_error(self, capsys):
+        commands = (
+            ["schedule", "--machines", "2", "--times", "5", "6"],
+            ["batch", "--requests", "1", "--jobs", "6", "--machines", "2",
+             "--workers", "1"],
+            ["serve", "--requests", "2", "--jobs", "6", "--machines", "2",
+             "--time-scale", "0.01"],
+        )
+        for command in commands:
+            code = main([*command, "--eps", "0"])
+            assert code == 2, command[0]
+            assert "eps must be in (0, 1]" in capsys.readouterr().err
+
     def test_byte_suffix_parsing(self):
         from repro.cli import parse_bytes
 
