@@ -26,6 +26,11 @@ UNREACHABLE: int = np.iinfo(np.int64).max // 4
 _TABLE_DTYPES = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))
 
 
+#: Each table dtype's sentinel, worked out once: a fill asks for it
+#: several times, and ``np.iinfo`` costs more than a tiny fill's pass.
+_SENTINELS = {dtype: int(np.iinfo(dtype).max) // 4 for dtype in _TABLE_DTYPES}
+
+
 def unreachable_for(dtype: np.dtype) -> int:
     """The per-dtype "no packing" sentinel (``iinfo(dtype).max // 4``).
 
@@ -34,7 +39,9 @@ def unreachable_for(dtype: np.dtype) -> int:
     back to the canonical int64 :data:`UNREACHABLE` at the end of a
     fill.
     """
-    return int(np.iinfo(dtype).max) // 4
+    dtype = np.dtype(dtype)
+    sentinel = _SENTINELS.get(dtype)
+    return int(np.iinfo(dtype).max) // 4 if sentinel is None else sentinel
 
 
 def pick_table_dtype(value_bound: int) -> np.dtype:

@@ -11,24 +11,44 @@ plus one —
 
     ``OPT[c_1:, ..., c_d:] = min(OPT[c_1:, ..., c_d:], OPT[:-c_1, ..., :-c_d] + 1)``
 
-— a single numpy slice operation touching every cell at once, followed
-by one downward-closure sweep per axis that hands each value on to the
-cells it dominates.  Rounds repeat until a fixpoint.  Because ``OPT``
-values are machine counts, at most ``OPT(N) + 1`` rounds are needed
-(each round finalises all cells one more edge away from the origin —
-in practice far fewer because in-place updates propagate within a
-round); each round costs ``O(|C_max| * sigma)`` flat numpy work with
-no Python-level per-cell loop, following the vectorization idiom of
-the HPC guides.
+— followed by one downward-closure sweep per axis that hands each
+value on to the cells it dominates.  Rounds repeat until a fixpoint.
+Because ``OPT`` values are machine counts, at most ``OPT(N) + 1``
+rounds are needed (each round finalises all cells one more edge away
+from the origin — in practice far fewer because in-place updates
+propagate within a round).
+
+**Block-contiguous passes** (the host counterpart of Algorithm 4's
+data partitioning).  Written as a ``d``-dimensional slice, the box
+pass above walks a strided view whose innermost contiguous run is one
+axis long — 2-7 cells on the 7-14-dimensional tables of real probes —
+and that short-run walk, not the arithmetic, is what a pass costs.
+So each pass runs on ``table.reshape(outer + (S,))`` instead, the
+trailing axes merged (a free C-order reshape) into one block of
+``S >= MIN_BLOCK_CELLS`` cells: the destination is
+``[c_outer:, off:]`` and the source ``[:-c_outer, :S - off]`` with
+``off = c_inner . strides``, so every pass streams runs of the block's
+length.  Block lane ``f`` then reads lane ``f - off``, which is the
+cell ``u - c`` unless a merged digit would borrow (``u_i < c_i``); on
+those lanes the pass adds the dtype's unreachable sentinel instead of
+one, so the candidate never wins.  Every pass therefore updates
+exactly the cells of the ``d``-dimensional box pass, to the same
+values, and every round ends on the same table.  The closure sweeps
+likewise run slab by slab (:func:`closure_views`).  Offsets, lane
+masks and slice pairs depend only on the shape and the configurations,
+so :class:`~repro.dptable.plan.ProbePlan` builds them once
+(:func:`shift_selectors`).
 
 The result is bit-identical to :func:`repro.core.dp_reference.dp_reference`
-(tested), at orders of magnitude higher throughput.  With a machine
-budget the same loop runs *clamped* at ``m + 1`` — the decision fill
-the bisection predicate needs (see :func:`dp_vectorized`).
+(tested).  With a machine budget the same loop runs *clamped* at
+``m + 1`` — the decision fill the bisection predicate needs (see
+:func:`dp_vectorized`).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,77 +68,167 @@ from repro.errors import DPError
 from repro.observability import context as obs
 
 
+#: Fewest cells the merged trailing block of a box pass holds.  The
+#: trailing axes of the table merge (a free C-order reshape) until
+#: their product reaches this, so a pass streams runs of up to this
+#: many cells.  Of 32/128/256/512, 128 filled batch-decision's tables
+#: fastest, plan build included: larger blocks shorten the passes a
+#: little but cost more lane masks.
+MIN_BLOCK_CELLS = 128
+
+
+@dataclass(frozen=True)
+class PassPlan:
+    """The block-contiguous box passes of one relaxation fill.
+
+    ``blocked_shape`` is the table's shape with its trailing axes
+    merged into one block of at least :data:`MIN_BLOCK_CELLS` cells
+    (all axes when the table is smaller).  For each configuration
+    ``c`` (in relaxation order), ``selectors`` holds the pair of
+    selectors on the blocked table: the destination
+    ``[c_outer:, off:]`` and the source ``[:-c_outer, :S - off]``,
+    where ``off = c_inner . strides`` is ``c``'s flat offset inside
+    the block.  Lane ``f`` of the destination reads lane ``f - off``
+    of the source, which is the cell ``u - c`` unless some merged
+    digit would borrow (``u_i < c_i``).  Row ``rows[k]`` of ``valid``
+    marks pass ``k``'s block lanes without a borrow, and
+    :meth:`increments` turns it into the per-lane addend (``1``, or
+    the dtype's unreachable sentinel where the lane must not win).
+    """
+
+    blocked_shape: tuple[int, ...]
+    selectors: tuple[tuple[tuple, tuple], ...]
+    offsets: tuple[int, ...]
+    rows: tuple[int, ...]
+    valid: np.ndarray
+    _increments: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def increments(self, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+        """Per-pass lane addends in ``dtype``, built once per dtype.
+
+        A borrowed lane adds :func:`unreachable_for` ``(dtype)``: the
+        source holds at most that sentinel, so the candidate stays
+        within ``2 * (max // 4)`` (no overflow) and never undercuts the
+        destination, which is at most the sentinel too.
+        """
+        dtype = np.dtype(dtype)
+        rows = self._increments.get(dtype)
+        if rows is None:
+            full = np.where(self.valid, dtype.type(1), dtype.type(unreachable_for(dtype)))
+            full.setflags(write=False)
+            rows = tuple(full[r, off:] for r, off in zip(self.rows, self.offsets))
+            self._increments[dtype] = rows
+        return rows
+
+
 def shift_selectors(
     shape: tuple[int, ...], configs: np.ndarray, order: np.ndarray
-) -> tuple[tuple[tuple, tuple], ...]:
-    """Slice-selector pairs for every configuration's relaxation pass.
+) -> PassPlan:
+    """The :class:`PassPlan` of every configuration's relaxation pass.
 
-    For each config ``c`` (visited in ``order``) the pair selects the
-    destination view ``dst[u] = table[u]`` for cells ``u >= c`` and the
-    source view ``src[u] = table[u - c]``.  Selectors depend only on
-    ``(shape, configs, order)`` — i.e. on the probe *plan*, not on any
-    concrete table — so
-    :attr:`repro.dptable.plan.ProbePlan.sparse_shift_slices` caches
-    them across probes, and a single fill builds them once instead of
-    once per relaxation round (the tuple-of-slices construction used
-    to dominate small-table fills).
+    It depends only on ``(shape, configs, order)``, the probe *plan*,
+    not on any concrete table, so
+    :attr:`repro.dptable.plan.ProbePlan.sparse_passes` caches it across
+    probes.  Offsets and lane masks come from array operations over
+    all configurations at once.
     """
-    return tuple(
+    split = len(shape)
+    block = 1
+    while split > 0 and block < MIN_BLOCK_CELLS:
+        split -= 1
+        block *= shape[split]
+    inner = shape[split:]
+    strides = np.array([math.prod(inner[i + 1 :]) for i in range(len(inner))], dtype=np.int64)
+    configs = np.asarray(configs, dtype=np.int64)
+    # Reordered as lists: numpy's fancy indexing releases the GIL, and
+    # on a busy service thread each release can cost a switch interval.
+    order = np.asarray(order).tolist()
+    offsets = (configs[:, split:] @ strides).tolist()
+    offsets = [offsets[k] for k in order]
+    outer = configs[:, :split].tolist()
+    # A lane mask depends only on c_inner, which its offset encodes, so
+    # configurations sharing an offset share one mask row.
+    distinct: dict[int, int] = {}
+    rows = tuple(distinct.setdefault(off, len(distinct)) for off in offsets)
+    # One (rows x block) comparison per merged axis: numpy releases the
+    # GIL on operations over more than 500 elements, and a tiny table's
+    # plan stays under that where a single 3-D comparison would not.
+    lanes = np.arange(block, dtype=np.int64)
+    starts = np.array(list(distinct), dtype=np.int64)
+    valid = np.ones((starts.size, block), dtype=bool)
+    for stride, size in zip(strides.tolist(), inner):
+        valid &= (lanes // stride % size)[None, :] >= (starts // stride % size)[:, None]
+    valid.setflags(write=False)
+    heads = [[slice(v, None) for v in range(s)] for s in shape[:split]]
+    tails = [[slice(None, s - v) for v in range(s)] for s in shape[:split]]
+    selectors = tuple(
         (
-            tuple(slice(int(c), None) for c in configs[idx]),
-            tuple(
-                slice(None, s - int(c)) for s, c in zip(shape, configs[idx])
-            ),
+            tuple(map(list.__getitem__, heads, row)) + (slice(off, None),),
+            tuple(map(list.__getitem__, tails, row)) + (slice(None, block - off),),
         )
-        for idx in order
+        for row, off in zip((outer[k] for k in order), offsets)
+    )
+    return PassPlan(
+        blocked_shape=tuple(shape[:split]) + (block,),
+        selectors=selectors,
+        offsets=tuple(offsets),
+        rows=rows,
+        valid=valid,
     )
 
 
-def closure_views(table: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Reversed-axis views of ``table`` for the downward-closure sweeps.
+def closure_views(table: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Slab pairs of ``table`` for the downward-closure sweeps.
 
     Because the configuration set is downward closed, the exact table
     is coordinatewise monotone (a cover of ``v`` covers every ``u <=
-    v``), so ``table[u] <= table[u + e_i]`` at the fixpoint.  View
-    ``i`` reverses axis ``i``; a ``np.minimum.accumulate`` over it is
-    the suffix-min sweep that propagates each cell's value to all
-    dominated cells along that axis.
+    v``), so ``table[u] <= table[u + e_i]`` at the fixpoint.  Seen as
+    ``table.reshape(A, s_i, B)``, axis ``i``'s suffix-min sweep is
+    ``v[:, j] = min(v[:, j], v[:, j + 1])`` for ``j`` descending.  The
+    pairs come in that order, axis by axis: one ufunc call per slab
+    covers ``A`` runs of ``B`` contiguous cells, where an
+    ``accumulate`` along the axis walks ``A * B`` lines of ``s_i``
+    strided cells (2-7 on real probes).
     """
-    d = table.ndim
-    return tuple(
-        table[tuple(slice(None, None, -1) if a == i else slice(None) for a in range(d))]
-        for i in range(d)
-    )
+    pairs = []
+    after = table.size
+    before = 1
+    for size in table.shape:
+        after //= size
+        slabs = list(table.reshape(before, size, after).swapaxes(0, 1))
+        pairs.extend(zip(slabs[-2::-1], slabs[:0:-1]))
+        before *= size
+    return tuple(pairs)
 
 
-def run_closure_sweeps(views: tuple[np.ndarray, ...]) -> None:
+def run_closure_sweeps(views: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
     """One downward-closure round: a suffix-min sweep along every axis."""
-    for axis, view in enumerate(views):
-        np.minimum.accumulate(view, axis=axis, out=view)
+    for lower, upper in views:
+        np.minimum(lower, upper, out=lower)
 
 
 def bind_passes(
     table: np.ndarray,
-    shifts: tuple[tuple[tuple, tuple], ...],
+    passes: PassPlan,
     scratch: np.ndarray,
-    mask: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Materialise per-pass working views against one concrete table.
 
-    Each entry is ``(dst, src, cand, improved)``: the two table views
-    of one configuration's shift plus that pass's scratch/mask windows.
-    All four are views — binding them once lets the round loop run
-    pure ufunc calls with zero per-pass Python construction.  Sharing
-    one scratch and one mask across passes is safe because passes run
-    sequentially and every pass overwrites its windows before reading.
+    Each entry is ``(dst, src, cand, inc)``: the two blocked-table
+    views of one configuration's shift, that pass's scratch window and
+    its lane addend.  Binding them once lets the round loop run pure
+    ufunc calls with zero per-pass Python construction.  Sharing one
+    scratch across passes is safe because passes run sequentially and
+    every pass overwrites its window before reading it.
     """
+    blocked = table.reshape(passes.blocked_shape)
     bound = []
-    for dst_sel, src_sel in shifts:
-        dst = table[dst_sel]
-        src = table[src_sel]
+    for (dst_sel, src_sel), inc in zip(
+        passes.selectors, passes.increments(table.dtype)
+    ):
+        src = blocked[src_sel]
         cand = scratch[: src.size].reshape(src.shape)
-        improved = mask[: src.size].reshape(src.shape)
-        bound.append((dst, src, cand, improved))
+        bound.append((blocked[dst_sel], src, cand, inc))
     return bound
 
 
@@ -168,7 +278,7 @@ def dp_vectorized(
     max_rounds: int | None = None,
     model_token: tuple | None = None,
     sparse_configs: np.ndarray | None = None,
-    sparse_shifts: tuple | None = None,
+    sparse_passes: PassPlan | None = None,
     warm_table: np.ndarray | None = None,
     machines: int | None = None,
 ) -> DPResult:
@@ -192,9 +302,9 @@ def dp_vectorized(
     downward-closed set that is the fixpoint of Equation 1, so the
     table is bit-identical to the reference fill's, and ``configs``
     (the full set, which the backtrack walks) is returned unchanged.
-    ``sparse_configs`` / ``sparse_shifts`` are the plan-cached layers
+    ``sparse_configs`` / ``sparse_passes`` are the plan-cached layers
     (:attr:`~repro.dptable.plan.ProbePlan.sparse_configs` /
-    :attr:`~repro.dptable.plan.ProbePlan.sparse_shift_slices`); a call
+    :attr:`~repro.dptable.plan.ProbePlan.sparse_passes`); a call
     without them prunes ``configs`` itself.
 
     ``warm_table`` seeds the fill from a cached table of the same
@@ -276,47 +386,42 @@ def dp_vectorized(
             sum(counts) + 1 if clamp is None else min(sum(counts), clamp) + 2
         )
 
-    if sparse_shifts is None:
+    if sparse_passes is None:
         if sparse_configs is None:
             sparse_configs, _ = sparsify_configurations(configs)
         sparse_order = np.argsort(-sparse_configs.sum(axis=1), kind="stable")
-        sparse_shifts = shift_selectors(shape, sparse_configs, sparse_order)
+        sparse_passes = shift_selectors(shape, sparse_configs, sparse_order)
     views = closure_views(table)
     if warm_init is not None:
         # Close the seed: the round loop below stops on the first round
-        # whose box passes change nothing, which is a fixpoint only if
-        # each round starts from a downward-closed table.
+        # that changes nothing, which is a fixpoint only if each round
+        # starts from a downward-closed table.
         run_closure_sweeps(views)
 
-    # One scratch buffer (plus one bool mask) reused by every config
-    # pass: each pass needs a copy of the shifted source — src may
-    # alias dst — but a fresh `src + 1` allocation per pass makes the
-    # allocator the bottleneck on large tables.  Every pass's views
-    # are at most table-sized, so slices of these two flats suffice.
-    # All per-pass views are bound once, before the loop: the rounds
-    # then execute pure ufunc calls (the np.add below copies src into
-    # the scratch window first because src may alias dst).
+    # One scratch buffer reused by every pass: each pass needs a copy of
+    # the shifted source (src may alias dst), and a fresh allocation per
+    # pass makes the allocator the bottleneck on large tables.
     scratch = np.empty(table.size, dtype=dtype)
-    mask = np.empty(table.size, dtype=bool)
-    bound = bind_passes(table, sparse_shifts, scratch, mask)
+    bound = bind_passes(table, sparse_passes, scratch)
     corner = tuple(s - 1 for s in shape)
     early_accept = clamp is not None and warm_init is None
+    # Values only ever decrease, so a round changed the table iff its
+    # sum dropped.  A round whose box passes change nothing leaves its
+    # sweeps nothing to do either, since every round starts closed.
+    total = int(np.add.reduce(table, axis=None, dtype=np.int64))
 
     for rounds in range(1, max_rounds + 1):
-        changed = False
-        for dst, src, cand, improved in bound:
-            np.add(src, 1, out=cand)
-            np.less(cand, dst, out=improved)
-            if improved.any():
-                np.copyto(dst, cand, where=improved)
-                changed = True
+        for dst, src, cand, inc in bound:
+            np.add(src, inc, out=cand)
+            np.minimum(dst, cand, out=dst)
         run_closure_sweeps(views)
         if early_accept and table[corner] <= min(machines, rounds):
             # Every stored value <= rounds is final: so are the corner
             # and the backtrack chain below it.
             obs.count("dp.decision.early_accept")
             break
-        if not changed:
+        previous, total = total, int(np.add.reduce(table, axis=None, dtype=np.int64))
+        if total == previous:
             break
     else:
         raise DPError(

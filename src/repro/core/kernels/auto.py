@@ -326,7 +326,7 @@ class AutoKernel:
             target,
             configs=configs,
             sparse_configs=plan.sparse_configs,
-            sparse_shifts=plan.sparse_shift_slices,
+            sparse_passes=plan.sparse_passes,
             warm_table=warm_table,
             machines=self.machines if choice.kernel == "decision" else None,
         )

@@ -608,7 +608,7 @@ class PlanCache:
         a miss.  ``eager=False`` skips the up-front build of the
         expensive layers on a miss — the relaxation kernels only need
         :attr:`~repro.dptable.plan.ProbePlan.sparse_configs` and
-        :attr:`~repro.dptable.plan.ProbePlan.sparse_shift_slices`, and an
+        :attr:`~repro.dptable.plan.ProbePlan.sparse_passes`, and an
         engine that later hits the same plan builds (and then shares)
         the heavy layers on first touch.
 

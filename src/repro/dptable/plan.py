@@ -260,17 +260,17 @@ class ProbePlan:
             )
 
     @cached_property
-    def sparse_shift_slices(self) -> tuple:
-        """Box-pass selector pairs over the maximal subset.
+    def sparse_passes(self):
+        """Block-contiguous box passes over the maximal subset.
 
-        The ``(dst, src)`` pairs of
+        The :class:`~repro.core.dp_vectorized.PassPlan` of
         :func:`repro.core.dp_vectorized.shift_selectors` built over
         :attr:`sparse_configs`, aligned with
         :attr:`sparse_relaxation_order` — built once per plan and
-        shared by every sparse relaxation fill that hits it.  The
-        sparse kernels pair these with per-round downward-closure
-        sweeps (:func:`repro.core.dp_vectorized.run_closure_sweeps`)
-        to realise the clipped cover recurrence.
+        shared by every relaxation fill that hits it.  The kernel pairs
+        these passes with per-round downward-closure sweeps
+        (:func:`repro.core.dp_vectorized.run_closure_sweeps`) to
+        realise the clipped cover recurrence.
         """
         with _build_timer():
             from repro.core.dp_vectorized import shift_selectors
@@ -492,7 +492,7 @@ def build_probe_plan(
     the cost is paid (and measured) here, on the cache's miss path,
     not on first use.  The relaxation kernels only need the cheap
     :attr:`~ProbePlan.sparse_configs` /
-    :attr:`~ProbePlan.sparse_shift_slices` layers and pass
+    :attr:`~ProbePlan.sparse_passes` layers and pass
     ``eager=False`` to keep the expensive layers lazy.  The blocked structure stays
     lazy per ``dim`` either way.  Prefer
     :class:`repro.core.probe_cache.PlanCache` — this builder is the

@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.backends import get_spec
 from repro.core.instance import Instance
 from repro.core.probe_cache import CacheStats, PlanCache, ProbeCache
 from repro.core.ptas import PtasResult
@@ -69,7 +70,8 @@ class BatchRequest:
 
     ``name`` identifies the request in the report (defaults to its
     position); ``backend`` overrides the scheduler-level backend for
-    this request only.
+    this request only.  A bad ``eps``, ``search`` or ``backend`` is
+    refused here, so one such request cannot fail a whole batch.
     """
 
     instance: Instance
@@ -80,6 +82,8 @@ class BatchRequest:
 
     def __post_init__(self) -> None:
         check_request_options(self.eps, self.search)
+        if self.backend is not None:
+            get_spec(self.backend)  # also checks fallback:<member> names
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,25 @@ the minimum number of configurations from C summing componentwise to u.
 """
 
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.backtrack import extract_machine_configurations
 from repro.core.configs import enumerate_configurations
 from repro.core.dp_common import DPResult, UNREACHABLE, empty_dp_result
 from repro.core.dp_reference import dp_reference, dp_reference_for
-from repro.core.dp_vectorized import dp_vectorized, dp_vectorized_for
+from repro.core.dp_vectorized import (
+    MIN_BLOCK_CELLS,
+    closure_views,
+    dp_vectorized,
+    dp_vectorized_for,
+    run_closure_sweeps,
+    shift_selectors,
+)
 from repro.errors import DPError
 
 
@@ -146,6 +158,103 @@ class TestDPVectorized:
         assert first.table.dtype == np.int64
         assert np.array_equal(first.table, reference.table)
         assert np.array_equal(first.table, second.table)
+
+
+def _trim(vector, cap):
+    """Lower the largest entries of ``vector`` until ``prod(v + 1) <= cap``."""
+    vector = list(vector)
+    while math.prod(v + 1 for v in vector) > cap:
+        vector[vector.index(max(vector))] -= 1
+    return vector
+
+
+@st.composite
+def blocked_fills(draw):
+    """A table shape, a downward-closed configuration set and its layout.
+
+    The shapes sit on purpose on both sides of the block boundary:
+    tables under :data:`MIN_BLOCK_CELLS` cells (every axis merges),
+    tables whose last axis alone fills the block, and 6-12 axes of
+    sizes 1-3 (several merged axes, and axes of size 1).  The
+    configuration set is the downward closure of a few random
+    generators (zero excluded), as every enumerated set is.
+    """
+    kind = draw(st.sampled_from(["all-merged", "one-merged-axis", "many-axes"]))
+    if kind == "all-merged":
+        counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=7))
+        counts = _trim(counts, MIN_BLOCK_CELLS - 1)
+    elif kind == "one-merged-axis":
+        counts = draw(st.lists(st.integers(0, 1), max_size=3)) + [
+            draw(st.integers(MIN_BLOCK_CELLS - 1, MIN_BLOCK_CELLS + 20))
+        ]
+    else:
+        counts = _trim(draw(st.lists(st.integers(0, 2), min_size=6, max_size=12)), 700)
+    generators = [
+        _trim([draw(st.integers(0, c)) for c in counts], 24)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    shape = tuple(c + 1 for c in counts)
+    cells = np.indices(shape).reshape(len(shape), -1).T
+    closed = np.zeros(len(cells), dtype=bool)
+    for g in generators:
+        closed |= (cells <= np.asarray(g)).all(axis=1)
+    closed &= cells.any(axis=1)
+    return kind, counts, cells[closed]
+
+
+class TestBlockedPasses:
+    """The block-contiguous box passes and slab sweeps of ``dp_vectorized``."""
+
+    @given(fill=blocked_fills(), spare=st.integers(0, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_blocked_fills_match_the_reference(self, fill, spare):
+        kind, counts, configs = fill
+        shape = tuple(c + 1 for c in counts)
+        order = np.argsort(-configs.sum(axis=1), kind="stable")
+        blocked = shift_selectors(shape, configs, order).blocked_shape
+        if kind == "all-merged":
+            assert blocked == (math.prod(shape),)
+        elif kind == "one-merged-axis":
+            assert blocked == shape
+        # Unit sizes and a target of sum(counts) keep the clamped fill's
+        # load test from refusing a budget the configurations meet.
+        sizes = (1,) * len(counts)
+        target = max(1, sum(counts))
+        ref = dp_reference(counts, sizes, target, configs=configs)
+        opt = ref.opt
+        # A warm seed comes from a subset of the set (its values are
+        # upper bounds): the configurations of at most one job.
+        few = configs[configs.sum(axis=1) <= 1]
+        budgets = [None, 0, 1] + ([opt - 1, opt, opt + spare] if opt < UNREACHABLE else [])
+        for m in budgets:
+            if m is not None and m < 0:
+                continue
+            warm = dp_vectorized(counts, sizes, target, configs=few, machines=m).table
+            for seed in (None, warm):
+                case = (kind, counts, m, seed is not None)
+                result = dp_vectorized(
+                    counts, sizes, target, configs=configs, machines=m, warm_table=seed
+                )
+                if m is None:
+                    assert np.array_equal(result.table, ref.table), case
+                    continue
+                assert result.decided_infeasible == (opt > m), case
+                if opt <= m:
+                    assert extract_machine_configurations(
+                        result
+                    ) == extract_machine_configurations(ref), case
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slab_sweeps_equal_accumulated_suffix_minima(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 6, size=int(rng.integers(1, 6))).tolist())
+        table = rng.integers(0, 50, size=shape).astype(np.int16)
+        expected = table.copy()
+        for axis in range(table.ndim):
+            flipped = np.flip(expected, axis=axis)
+            np.minimum.accumulate(flipped, axis=axis, out=flipped)
+        run_closure_sweeps(closure_views(table))
+        assert np.array_equal(table, expected), shape
 
 
 class TestDPResult:

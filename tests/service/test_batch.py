@@ -433,3 +433,10 @@ class TestValidation:
             BatchScheduler(**options)
         with pytest.raises(InvalidInstanceError):
             BatchRequest(instance=fleet[0], **options)
+
+    @pytest.mark.parametrize("backend", ["nosuch", "fallback:auto,nosuch"])
+    def test_rejects_bad_request_backend_up_front(self, fleet, backend):
+        # Checked when run() resolved it, a bad override raised out of
+        # the batch and took every other request's answer with it.
+        with pytest.raises(BackendError):
+            BatchRequest(instance=fleet[0], backend=backend)
